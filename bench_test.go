@@ -637,7 +637,7 @@ func benchPeakHeap(f func()) uint64 {
 // synthetic 200k-row relation with a trivial rule set (this measures
 // ingest, not chase depth): the materialized ReadRelation → GroupBy →
 // Run chain against the streaming TupleIterator → StreamGroupBy →
-// StreamFrom chain at window 64. Beyond ns/op it reports the two
+// Stream chain at window 64. Beyond ns/op it reports the two
 // numbers PR 9 is about: rows/s throughput and peak-bytes, the highest
 // sampled live heap during an ingest — flat in the relation's length
 // for the streaming leg, linear for the materialized one

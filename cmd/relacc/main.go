@@ -15,13 +15,14 @@
 // verdict per entity plus a summary. -o writes the settled targets
 // (deduced complete, or filled from the best candidate) as CSV.
 //
-// batch and append take -stream on|off|auto and -window N: the
-// streaming path decodes rows one at a time, seals entities as the
-// bounded window retires them, and feeds the worker pool with
-// backpressure, so memory is proportional to the window, never to the
-// relation — with output identical to the materialized path. auto (the
-// default) streams when the -by input arrives in contiguous per-key
-// runs (sorted input does).
+// batch reads the relation in one streaming pass: rows decode one at a
+// time and the worker pool pulls entities as it frees up, so verdicts
+// stream out while later rows are still being read. With -by, input
+// whose rows arrive in contiguous per-key runs (sorted input does)
+// groups one open entity at a time, in memory bounded by the worker
+// pool whatever the relation's length; any other row order is grouped
+// in full first, with identical output. -key resolves the whole
+// relation by similarity before the first entity is deduced.
 //
 // append is the incremental face of batch: the base relation is
 // deduced once, then the delta relation's tuples are routed by the -by
@@ -47,6 +48,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/csvio"
 	"repro/internal/er"
@@ -78,8 +80,6 @@ func main() {
 	topK := fs.Int("topk", 0, "batch: candidates per incomplete entity (0 = deduce only)")
 	outPath := fs.String("o", "", "batch: write settled targets to this CSV")
 	verbose := fs.Bool("v", false, "batch: print every entity (default: only unsettled ones)")
-	stream := fs.String("stream", "auto", "batch/append: constant-memory streaming ingest: on, off, or auto (stream when -by input is run-length sorted)")
-	window := fs.Int("window", 1024, "batch/append: max open entities in the streaming group window (0 = unbounded)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -90,7 +90,7 @@ func main() {
 		// mode's flags loudly instead of silently ignoring them.
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "by", "key", "threshold", "workers", "topk", "o", "v", "delta", "stream", "window":
+			case "by", "key", "threshold", "workers", "topk", "o", "v", "delta":
 				fatal(fmt.Errorf("flag -%s applies to batch/append; %s uses -k and -par", f.Name, cmd))
 			}
 		})
@@ -106,7 +106,6 @@ func main() {
 			by: *by, key: *key, threshold: *threshold,
 			workers: *workers, topK: *topK, algo: *algo,
 			out: *outPath, verbose: *verbose,
-			stream: *stream, window: *window,
 		})
 		return
 	case "append":
@@ -120,7 +119,6 @@ func main() {
 			data: *dataPath, delta: *deltaPath, master: *masterPath, rules: *rulesPath,
 			by: *by, workers: *workers, topK: *topK, algo: *algo,
 			out: *outPath, verbose: *verbose,
-			stream: *stream, window: *window,
 		})
 		return
 	default:
@@ -223,7 +221,7 @@ func load(dataPath, masterPath, rulesPath string) (*core.Session, *model.EntityI
 
 // loadMasterAndRules loads the optional master CSV and parses the rule
 // file against the given entity schema; shared by the single-entity
-// modes and batch.
+// modes and openRelation.
 func loadMasterAndRules(masterPath, rulesPath string, entity *model.Schema) (*model.MasterRelation, *rule.Set, error) {
 	var im *model.MasterRelation
 	if masterPath != "" {
@@ -260,31 +258,33 @@ type batchArgs struct {
 	algo                string
 	out                 string
 	verbose             bool
-	stream              string
-	window              int
 }
 
-// useStreaming decides the ingest path for batch and append: -stream on
-// forces the constant-memory pipeline, off forbids it, and auto probes
-// the input — streaming becomes the default when the relation arrives
-// grouped by -by in contiguous runs (sorted input is, and so is any
-// export that emitted entities one at a time), the one shape that
-// streams at any window size. The probe is one cheap sequential pass;
-// a probe failure just falls back to the materialized path, which will
-// report the real error.
-func useStreaming(mode, data, by string) bool {
-	switch mode {
-	case "on":
-		return true
-	case "off":
-		return false
-	case "auto":
-	default:
-		fatal(fmt.Errorf("-stream must be on, off or auto (got %q)", mode))
+// openRelation opens the relation CSV for its single streaming pass and
+// parses the master data and rules against the schema its header fixes.
+func openRelation(data, master, rules string) (*os.File, *csvio.TupleIterator, *model.MasterRelation, *rule.Set) {
+	f, err := os.Open(data)
+	if err != nil {
+		fatal(err)
 	}
-	if by == "" || data == "" {
-		return false
+	it, err := csvio.NewTupleIterator(f, data)
+	if err != nil {
+		fatal(err)
 	}
+	im, rs, err := loadMasterAndRules(master, rules, it.Schema())
+	if err != nil {
+		fatal(err)
+	}
+	return f, it, im, rs
+}
+
+// inRuns reports whether the relation's rows arrive in contiguous runs
+// per -by key (sorted input does): such input groups at window 1, one
+// open entity at a time. The probe is one cheap sequential pass; a
+// probe failure reports false, which picks the unbounded window —
+// correct for any row order — and leaves the real error to the main
+// pass.
+func inRuns(data, by string) bool {
 	f, err := os.Open(data)
 	if err != nil {
 		return false
@@ -294,24 +294,14 @@ func useStreaming(mode, data, by string) bool {
 	return err == nil && ok
 }
 
-// readHeaderSchema opens the relation just long enough to read its
-// header row: the streaming paths need the schema to parse rules
-// against before the single full pass begins.
-func readHeaderSchema(path string) (*model.Schema, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	it, err := csvio.NewTupleIterator(f, path)
-	if err != nil {
-		return nil, err
-	}
-	return it.Schema(), nil
-}
-
 // runBatch is the multi-entity pipeline front end: relation CSV in,
-// per-entity verdicts and a summary out.
+// per-entity verdicts and a summary out. Rows decode one at a time, a
+// grouper turns them into entities, and the worker pool deduces each
+// entity as it arrives, so verdicts (and -o rows) stream out while
+// later rows are still being read. Only the grouper depends on the
+// input: -by input in per-key runs groups at window 1, in memory
+// bounded by the worker pool; other -by input groups in an unbounded
+// window; -key resolves the whole relation by similarity first.
 func runBatch(a batchArgs) {
 	if a.data == "" || a.rules == "" {
 		fmt.Fprintln(os.Stderr, "relacc: -data and -rules are required")
@@ -325,97 +315,54 @@ func runBatch(a batchArgs) {
 	if err != nil {
 		fatal(err)
 	}
-	if useStreaming(a.stream, a.data, a.by) {
-		if a.by == "" {
-			fatal(fmt.Errorf("-stream on needs -by: similarity grouping (-key) must see the whole relation"))
-		}
-		runBatchStream(a, alg)
-		return
-	}
-
-	schema, tuples, err := csvio.ReadRelationFile(a.data)
+	f, it, im, rules := openRelation(a.data, a.master, a.rules)
+	defer f.Close()
+	schema := it.Schema()
+	shared, err := chase.NewShared(schema, im, rules)
 	if err != nil {
 		fatal(err)
 	}
-	im, rules, err := loadMasterAndRules(a.master, a.rules, schema)
-	if err != nil {
-		fatal(err)
-	}
+	// One dictionary for the whole chain: values intern as they decode,
+	// so grounding does no dict probes.
+	it.Intern(shared.Dict())
 
-	var entities []*model.EntityInstance
+	var src pipeline.EntitySource
 	if a.by != "" {
-		entities, err = er.GroupBy(tuples, schema, a.by)
+		var window er.Window // unbounded: any row order
+		how := "rows out of key order, unbounded window"
+		if inRuns(a.data, a.by) {
+			window.MaxEntities = 1
+			how = "rows in per-key runs, window 1"
+		}
+		es, err := er.StreamGroupBy(it, schema, a.by, er.StreamOpts{Window: window})
+		if err != nil {
+			fatal(err)
+		}
+		src = es
+		fmt.Printf("grouping %s by %s (%s)\n", a.data, a.by, how)
 	} else {
-		entities, err = er.Resolve(tuples, schema, er.Config{
+		tuples, err := (&csvio.RelationReader{TupleIterator: it}).ReadAll()
+		if err != nil {
+			fatal(err)
+		}
+		entities, err := er.Resolve(tuples, schema, er.Config{
 			KeyAttrs:  strings.Split(a.key, ","),
 			Threshold: a.threshold,
 		})
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%d tuples grouped into %d entities\n", len(tuples), len(entities))
-
-	var settled []*model.Tuple
-	sum, err := pipeline.Stream(entities, pipeline.Config{
-		Master:  im,
-		Rules:   rules,
-		Workers: a.workers,
-		TopK:    a.topK,
-		Algo:    alg,
-	}, func(r pipeline.Result) error {
-		target := settledTarget(r)
-		if target != nil {
-			settled = append(settled, target)
+		if err != nil {
+			fatal(err)
 		}
-		if a.verbose || target == nil {
-			printEntityLine(fmt.Sprintf("%d", r.Index), r, a.verbose)
-		}
-		return nil
-	})
-	if err != nil {
-		fatal(err)
+		fmt.Printf("%d tuples grouped into %d entities\n", len(tuples), len(entities))
+		slice := pipeline.SliceSource(entities)
+		src = &slice
 	}
-	fmt.Println(sum.String())
 
-	if a.out != "" {
-		writeSettled(a.out, schema, settled, len(entities))
-	}
-}
-
-// runBatchStream is runBatch on the constant-memory pipeline: rows
-// decode one at a time, entities seal as the window retires them, and
-// verdicts (and -o rows) stream out while later rows are still being
-// read — identical output to the materialized path, memory bounded by
-// the window and the worker pool instead of the relation's length.
-func runBatchStream(a batchArgs, alg pipeline.Algorithm) {
-	schema, err := readHeaderSchema(a.data)
-	if err != nil {
-		fatal(err)
-	}
-	im, rules, err := loadMasterAndRules(a.master, a.rules, schema)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := pipeline.Config{
-		Master:  im,
-		Rules:   rules,
-		Workers: a.workers,
-		TopK:    a.topK,
-		Algo:    alg,
-	}
-	opts := ingest.Options{By: a.by, Window: er.Window{MaxEntities: a.window}}
-	fmt.Printf("streaming %s grouped by %s (window %d)\n", a.data, a.by, a.window)
-
+	cfg := pipeline.Config{Workers: a.workers, TopK: a.topK, Algo: alg}
 	var sum pipeline.Summary
 	settled := 0
 	run := func(rw *csvio.RelationWriter) error {
-		f, err := os.Open(a.data)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sum, err = ingest.StreamCSV(f, a.data, opts, cfg, func(r pipeline.Result) error {
+		var err error
+		sum, err = pipeline.Stream(shared, src, cfg, func(r pipeline.Result) error {
 			target := settledTarget(r)
 			if target != nil {
 				settled++
@@ -440,7 +387,7 @@ func runBatchStream(a batchArgs, alg pipeline.Algorithm) {
 		// The whole run happens inside the atomic write: settled rows
 		// stream straight into the temp file as their entities resolve,
 		// and the rename publishes the complete output only after the
-		// stream ends cleanly.
+		// run ends cleanly.
 		if err := atomicWrite(a.out, func(w io.Writer) error {
 			rw, err := csvio.NewRelationWriter(w, schema)
 			if err != nil {
@@ -467,14 +414,15 @@ type appendArgs struct {
 	algo                       string
 	out                        string
 	verbose                    bool
-	stream                     string
-	window                     int
 }
 
 // runAppend is the incremental pipeline front end: the base relation
-// seeds live per-entity sessions, the delta relation's tuples are
-// routed to them by the -by identifier, and only the touched entities
-// are re-deduced (through chase-level delta instantiation).
+// streams into live per-entity sessions keyed by the -by identifier,
+// the delta relation's tuples are routed to them, and only the touched
+// entities are re-deduced (through chase-level delta instantiation).
+// The base may arrive in any row order: its entities stay resident in
+// the live store, so grouping it in an unbounded window costs nothing
+// a bounded one would save.
 func runAppend(a appendArgs) {
 	if a.data == "" || a.delta == "" || a.rules == "" {
 		fmt.Fprintln(os.Stderr, "relacc: append needs -data, -delta and -rules")
@@ -488,23 +436,9 @@ func runAppend(a appendArgs) {
 	if err != nil {
 		fatal(err)
 	}
-	if useStreaming(a.stream, a.data, a.by) {
-		runAppendStream(a, alg)
-		return
-	}
-	schema, baseTuples, err := csvio.ReadRelationFile(a.data)
-	if err != nil {
-		fatal(err)
-	}
-	im, rules, err := loadMasterAndRules(a.master, a.rules, schema)
-	if err != nil {
-		fatal(err)
-	}
-	baseUps, baseLabels, err := groupUpdates(baseTuples, schema, a.by)
-	if err != nil {
-		fatal(err)
-	}
-
+	f, it, im, rules := openRelation(a.data, a.master, a.rules)
+	defer f.Close()
+	schema := it.Schema()
 	u, err := pipeline.NewUpdater(schema, pipeline.Config{
 		Master:  im,
 		Rules:   rules,
@@ -515,74 +449,46 @@ func runAppend(a appendArgs) {
 	if err != nil {
 		fatal(err)
 	}
-	baseResults, baseSum, err := u.Apply(baseUps)
+	baseSum, err := ingest.SeedUpdater(u, it, ingest.SeedOptions{
+		By: a.by,
+		Sink: func(r pipeline.Result) error {
+			if a.verbose {
+				printEntityLine(entityLabel(r, a.by), r, true)
+			}
+			return nil
+		},
+	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("base: %d tuples grouped into %d entities\n", len(baseTuples), len(baseUps))
-	if a.verbose {
-		for i, r := range baseResults {
-			printEntityLine(baseLabels[i], r, true)
-		}
-	}
+	fmt.Printf("base: %d tuples grouped into %d entities\n", it.Row()-1, u.Len())
 	fmt.Println("base:", baseSum.String())
 
-	deltaUps, deltaResults, preVersion := applyDelta(u, schema, a)
+	applyDelta(u, schema, a)
 
 	if a.out != "" {
-		// The two Apply phases already deduced every entity's final
-		// state: base results stand except where the delta re-deduced
-		// the entity. Merging avoids re-running deduction and top-k
-		// search over the whole stream just to write the output.
-		final := map[string]pipeline.Result{}
-		var keys []string
-		for i, r := range baseResults {
-			final[baseUps[i].Key] = r
-			keys = append(keys, baseUps[i].Key)
-		}
-		for i, r := range deltaResults {
-			key := deltaUps[i].Key
-			if r.Err != nil {
-				// Two failure phases, two outcomes (see Updater.Apply):
-				// if the version did not advance the delta was never
-				// absorbed and the base result still describes the
-				// entity; if it did advance, the evidence IS in but no
-				// fresh target exists — the base target would be stale,
-				// so the entity is dropped, exactly as a batch over
-				// base+delta would emit no settled target for it.
-				if u.Version(key) != preVersion[key] {
-					delete(final, key)
-				}
-				continue
-			}
-			if _, seen := final[key]; !seen {
-				keys = append(keys, key)
-			}
-			final[key] = r
+		// Snapshot re-deduces nothing that has not changed (deductions
+		// are memoised per version); it is the final state of every
+		// entity in registration order.
+		_, results, _, err := u.Snapshot()
+		if err != nil {
+			fatal(err)
 		}
 		var settled []*model.Tuple
-		entities := 0
-		for _, k := range keys {
-			r, ok := final[k]
-			if !ok {
-				continue
-			}
-			entities++
+		for _, r := range results {
 			if target := settledTarget(r); target != nil {
 				settled = append(settled, target)
 			}
 		}
-		writeSettled(a.out, schema, settled, entities)
+		writeSettled(a.out, schema, settled, len(results))
 	}
 }
 
-// applyDelta runs the delta phase both append paths share: the delta
-// CSV is read (deltas are the small side of an append), remapped onto
-// the base schema, routed into the live entities by the -by key, and
-// every touched entity's re-deduced verdict printed. It returns what
-// the materialized -o merge needs; the streaming path snapshots the
-// updater instead.
-func applyDelta(u *pipeline.Updater, schema *model.Schema, a appendArgs) ([]pipeline.Update, []pipeline.Result, map[string]int) {
+// applyDelta runs append's delta phase: the delta CSV is read (deltas
+// are the small side of an append), remapped onto the base schema,
+// routed into the live entities by the -by key, and every touched
+// entity's re-deduced verdict printed.
+func applyDelta(u *pipeline.Updater, schema *model.Schema, a appendArgs) {
 	deltaSchema, deltaTuples, err := csvio.ReadRelationFile(a.delta)
 	if err != nil {
 		fatal(err)
@@ -596,11 +502,8 @@ func applyDelta(u *pipeline.Updater, schema *model.Schema, a appendArgs) ([]pipe
 		fatal(err)
 	}
 	newKeys := 0
-	preVersion := make(map[string]int, len(deltaUps))
-	for i := range deltaUps {
-		v := u.Version(deltaUps[i].Key)
-		preVersion[deltaUps[i].Key] = v
-		if v < 0 {
+	for _, up := range deltaUps {
+		if u.Version(up.Key) < 0 {
 			newKeys++
 		}
 	}
@@ -614,76 +517,6 @@ func applyDelta(u *pipeline.Updater, schema *model.Schema, a appendArgs) ([]pipe
 		printEntityLine(deltaLabels[i], r, a.verbose)
 	}
 	fmt.Println("delta:", deltaSum.String())
-	return deltaUps, deltaResults, preVersion
-}
-
-// runAppendStream is runAppend with the base relation seeded through
-// the constant-memory chain: tuples decode and intern one at a time,
-// the bounded window turns each sealed entity into one update, and the
-// live sessions build up in modest batches. The delta phase is the
-// shared materialized one (deltas are small); -o snapshots the final
-// state of every live entity.
-func runAppendStream(a appendArgs, alg pipeline.Algorithm) {
-	f, err := os.Open(a.data)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	it, err := csvio.NewTupleIterator(f, a.data)
-	if err != nil {
-		fatal(err)
-	}
-	schema := it.Schema()
-	im, rules, err := loadMasterAndRules(a.master, a.rules, schema)
-	if err != nil {
-		fatal(err)
-	}
-	u, err := pipeline.NewUpdater(schema, pipeline.Config{
-		Master:  im,
-		Rules:   rules,
-		Workers: a.workers,
-		TopK:    a.topK,
-		Algo:    alg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("streaming %s into live entities by %s (window %d)\n", a.data, a.by, a.window)
-	baseSum, err := ingest.SeedUpdater(u, it, ingest.SeedOptions{
-		By:     a.by,
-		Window: er.Window{MaxEntities: a.window},
-		Sink: func(r pipeline.Result) error {
-			if a.verbose {
-				printEntityLine(entityLabel(r, a.by), r, true)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("base: %d entities seeded\n", u.Len())
-	fmt.Println("base:", baseSum.String())
-
-	_, _, _ = applyDelta(u, schema, a)
-
-	if a.out != "" {
-		// Snapshot re-deduces nothing that has not changed (deductions
-		// are memoized per version); it is the final state of every
-		// entity in registration order — the same order the
-		// materialized merge writes.
-		_, results, _, err := u.Snapshot()
-		if err != nil {
-			fatal(err)
-		}
-		var settled []*model.Tuple
-		for _, r := range results {
-			if target := settledTarget(r); target != nil {
-				settled = append(settled, target)
-			}
-		}
-		writeSettled(a.out, schema, settled, len(results))
-	}
 }
 
 // entityLabel recovers the display label — what the -by column says —
@@ -714,8 +547,7 @@ func settledTarget(r pipeline.Result) *model.Tuple {
 	return nil
 }
 
-// writeSettled writes the settled targets as CSV, shared by the batch
-// and append -o paths.
+// writeSettled writes append's settled targets as CSV.
 func writeSettled(path string, schema *model.Schema, settled []*model.Tuple, entities int) {
 	if err := atomicWrite(path, func(w io.Writer) error {
 		return csvio.WriteRelation(w, schema, settled)
@@ -773,11 +605,11 @@ func atomicWrite(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// printEntityLine renders one per-entity verdict; batch labels entities
-// by index, append by key.
-// printEntityLine reports one entity's outcome; withTiming (verbose
-// mode) appends the per-entity wall-clock time (pipeline.Result.Elapsed)
-// so slow entities stand out inside an otherwise fast batch.
+// printEntityLine reports one entity's outcome under label (batch
+// labels entities by index, append by their -by value); withTiming
+// (verbose mode) appends the per-entity wall-clock time
+// (pipeline.Result.Elapsed) so slow entities stand out inside an
+// otherwise fast batch.
 func printEntityLine(label string, r pipeline.Result, withTiming bool) {
 	target := settledTarget(r)
 	line := fmt.Sprintf("entity %-12s [%d tuples]  %-17s", label, r.Instance.Size(), r.Status())
@@ -848,8 +680,8 @@ func usage() {
   pipeline over it (-workers N -topk K -algo topkct|rankjoin|topkcth -o out.csv);
   append deduces a base relation, then routes -delta tuples to the live
   entities by -by and incrementally re-deduces only the touched ones;
-  -stream on|off|auto and -window N pick the constant-memory ingest path
-  (auto streams -by input whose rows arrive in contiguous per-key runs)`)
+  -by input sorted on its column streams in constant memory, any other
+  row order gives the same output`)
 }
 
 func fatal(err error) {

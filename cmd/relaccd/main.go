@@ -5,15 +5,13 @@
 //	relaccd -data seed.csv -rules rules.txt -by id [-master master.csv]
 //	        [-addr 127.0.0.1:8080] [-workers N] [-topk K] [-algo topkct|rankjoin|topkcth]
 //	        [-max-inflight N] [-data-dir DIR] [-fsync always|interval|never]
-//	        [-snapshot-every N] [-max-entity-tuples N] [-window N]
+//	        [-snapshot-every N] [-max-entity-tuples N]
 //
 // The CSV's header defines the entity schema every appended tuple must
 // conform to; its rows (may be none) are grouped into entities by the
 // -by identifier column and deduced once at startup. The seed streams:
-// rows decode one at a time into the live store, so a large seed CSV
-// never materializes in memory; -window bounds the open-entity set (0 =
-// unbounded, safe for any row order — a bound needs the seed grouped in
-// contiguous -by runs, e.g. sorted on the identifier). -topk configures
+// rows decode one at a time straight into the live store, in any row
+// order, with no separate materialized copy of the CSV. -topk configures
 // the candidate search run when an APPEND leaves an entity incomplete
 // (0 = deduce only); the /topk query endpoint picks its own k and algo
 // per request. The daemon listens on -addr (use port 0 to let the
@@ -49,7 +47,6 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/csvio"
-	"repro/internal/er"
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -77,7 +74,6 @@ func main() {
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "cadence of -fsync=interval")
 	snapshotEvery := flag.Int("snapshot-every", 0, "checkpoint after every N appends (0 = only on shutdown / POST /v1/snapshot)")
 	maxEntityTuples := flag.Int("max-entity-tuples", 0, "evidence tuples one entity may accumulate; appends past it fail with 422 (0 = unbounded)")
-	window := flag.Int("window", 0, "max open entities while streaming the seed (0 = unbounded; a bound needs the seed grouped in contiguous -by runs, e.g. sorted)")
 	verdictCache := flag.Bool("verdict-cache", true, "memoise chase candidate checks per grounding version")
 	verdictCacheCap := flag.Int("verdict-cache-cap", 0, "verdict-cache entries per grounding version (0 = default, negative = unbounded)")
 	settledCache := flag.Bool("settled-cache", true, "memoise each entity's last (version, k, algo) query answer")
@@ -96,8 +92,8 @@ func main() {
 	}
 
 	// The seed streams: only the header is read here (fixing the
-	// schema); rows decode one at a time at seed time, so a large seed
-	// CSV never materializes in memory.
+	// schema); rows decode one at a time at seed time, straight into
+	// the live store.
 	dataFile, err := os.Open(*dataPath)
 	if err != nil {
 		fatal(err)
@@ -199,17 +195,15 @@ func main() {
 		}
 	} else if seed {
 		// Stream the seed into the live store: tuples intern as they
-		// decode, entities seal as the -window retires them, and each
-		// becomes one update applied in modest batches — constant
-		// memory in the seed's length. Unlike cmd/relacc's append mode
+		// decode, and each entity becomes one update applied in modest
+		// batches. Unlike cmd/relacc's append mode
 		// (type-tagged Value.Key routing), the daemon keys by the
 		// identifier's string rendering: the HTTP key namespace is
 		// plain strings, so the "m1" a client POSTs evidence under must
 		// be the "m1" the seed created — and '/' cannot be addressed by
 		// the per-entity routes at all.
 		sum, err := ingest.SeedUpdater(u, it, ingest.SeedOptions{
-			By:     *by,
-			Window: er.Window{MaxEntities: *window},
+			By: *by,
 			KeyOf: func(v model.Value) (string, error) {
 				k := v.String()
 				if err := server.ValidateKey(k); err != nil {

@@ -45,8 +45,8 @@ type Window struct {
 // key reappeared after its entity had already been sealed and emitted.
 // Emitting anyway would split the entity — producing results that
 // differ from the materialized GroupBy — so the stream refuses instead.
-// The fix is a larger window, or input sorted (run-length) on the
-// grouping attribute.
+// The fix is input sorted (run-length) on the grouping attribute, or a
+// larger window.
 type WindowError struct {
 	Key    string // grouping key that reappeared
 	Tuple  int    // 1-based tuple ordinal (not counting the header) of the reappearance
@@ -54,7 +54,7 @@ type WindowError struct {
 }
 
 func (e *WindowError) Error() string {
-	return fmt.Sprintf("er: key %q reappeared at tuple %d after its entity was emitted; input exceeds the streaming window (%+v) — raise -window or sort the input on the grouping attribute", e.Key, e.Tuple, e.Window)
+	return fmt.Sprintf("er: key %q reappeared at tuple %d after its entity was emitted; input exceeds the streaming window (%+v) — sort the input on the grouping attribute", e.Key, e.Tuple, e.Window)
 }
 
 // NullPolicy decides what a null grouping value means to the streaming

@@ -1,5 +1,5 @@
 // Package ingest composes the streaming ingest chain the batch tools
-// run: csvio.TupleIterator → er.StreamGroupBy → pipeline.StreamFrom,
+// run: csvio.TupleIterator → er.StreamGroupBy → pipeline.Stream,
 // one pull-based iterator feeding the next with no adapter goroutines
 // and no materialization anywhere — rows decode one at a time, entities
 // seal the moment the window retires them, results stream to the sink
@@ -67,17 +67,17 @@ func StreamCSV(r io.Reader, name string, opts Options, cfg pipeline.Config, sink
 	if err != nil {
 		return pipeline.Summary{}, err
 	}
-	return pipeline.StreamFromShared(shared, es, cfg, sink)
+	return pipeline.Stream(shared, es, cfg, sink)
 }
 
 // RunLength reports whether the relation's rows arrive grouped in
-// contiguous runs per opts.By key — sorted input is, and so is any
-// export that emitted entities one at a time. Run-length input streams
-// at window 1, so callers use this one cheap pass to decide whether
-// streaming can be the default. A null key ends the run it interrupts
-// (each null is its own singleton entity, so the key resuming after it
-// counts as a reappearance); recoverable row errors are skipped,
-// matching what a skipping stream would see.
+// contiguous runs per by key — sorted input is, and so is any export
+// that emitted entities one at a time. Run-length input streams at
+// window 1, so callers use this one cheap pass to pick the grouping
+// window: 1 for run-length input, unbounded otherwise. A null key ends
+// the run it interrupts (each null is its own singleton entity, so the
+// key resuming after it counts as a reappearance); recoverable row
+// errors are skipped, matching what a skipping stream would see.
 func RunLength(r io.Reader, name, by string) (bool, error) {
 	it, err := csvio.NewTupleIterator(r, name)
 	if err != nil {
@@ -129,8 +129,6 @@ type SeedOptions struct {
 	// KeyOf renders identifier values to routing keys; nil means
 	// model.Value.Key.
 	KeyOf func(model.Value) (string, error)
-	// Window bounds the grouper's working set (zero: unbounded).
-	Window er.Window
 	// Batch is how many entities are applied per Updater.Apply call;
 	// <= 0 means 256. Each key appears in exactly one batch (the
 	// grouper guarantees a sealed key never reappears), so batch size
@@ -145,11 +143,13 @@ type SeedOptions struct {
 }
 
 // SeedUpdater streams a CSV relation into a live Updater: decoded
-// tuples intern into the updater's dictionary, group under the window,
-// and each sealed entity becomes one Update applied in modest batches —
-// a cold boot of a large seed CSV runs in window-bounded memory. The
-// iterator must have been opened on the updater's schema (pointer
-// identity: build the Updater from it.Schema()).
+// tuples intern into the updater's dictionary, group by opts.By in any
+// row order, and each entity becomes one Update applied in modest
+// batches. The grouping window is unbounded: every seeded entity stays
+// resident in the Updater anyway, so a bounded window would save no
+// memory, only refuse disordered input. The iterator must have been
+// opened on the updater's schema (pointer identity: build the Updater
+// from it.Schema()).
 func SeedUpdater(u *pipeline.Updater, it *csvio.TupleIterator, opts SeedOptions) (pipeline.Summary, error) {
 	start := time.Now()
 	var sum pipeline.Summary
@@ -159,7 +159,6 @@ func SeedUpdater(u *pipeline.Updater, it *csvio.TupleIterator, opts SeedOptions)
 	}
 	it.Intern(u.Dict())
 	es, err := er.StreamGroupBy(it, u.Schema(), opts.By, er.StreamOpts{
-		Window:     opts.Window,
 		KeyOf:      opts.KeyOf,
 		Nulls:      er.NullReject,
 		OnRowError: opts.OnRowError,

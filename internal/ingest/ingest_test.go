@@ -286,7 +286,7 @@ func TestSeedUpdaterEquivalence(t *testing.T) {
 	}
 	var got []pipeline.Result
 	sum, err := ingest.SeedUpdater(uS, it, ingest.SeedOptions{
-		By: "name", KeyOf: keyOf, Window: er.Window{MaxEntities: 1}, Batch: 3,
+		By: "name", KeyOf: keyOf, Batch: 3,
 		Sink: func(r pipeline.Result) error { got = append(got, r); return nil },
 	})
 	if err != nil {

@@ -111,7 +111,7 @@ func (cfg *Config) workers() int {
 
 // Result is the outcome for one entity, in input order.
 type Result struct {
-	// Index is the entity's position in the input slice.
+	// Index is the entity's position in the batch input.
 	Index int
 	// Key is the entity's routing key when the result came from an
 	// update stream (Apply, Query, Snapshot); empty for batch runs,
@@ -237,132 +237,33 @@ func (s *Summary) add(r *Result, arity int) {
 
 // Run processes every entity and returns the results in input order
 // plus the batch summary. All entities must share the first entity's
-// schema (pointer identity); rule validation happens once, up front.
+// schema (pointer identity): the schemas are checked, and the rules
+// validated, before any entity is grounded, so a mismatch anywhere in
+// the batch fails it with no results and no work done.
 func Run(entities []*model.EntityInstance, cfg Config) ([]Result, Summary, error) {
-	results := make([]Result, 0, len(entities))
-	sum, err := Stream(entities, cfg, func(r Result) error {
-		results = append(results, r)
-		return nil
-	})
-	return results, sum, err
-}
-
-// Stream is Run with a sink: per-entity results are delivered to sink
-// in input order as soon as they (and all their predecessors) finish,
-// so a caller can report progress or persist verdicts while later
-// entities are still being checked. sink runs on the calling goroutine;
-// returning an error stops the batch early and is returned from Stream.
-func Stream(entities []*model.EntityInstance, cfg Config, sink func(Result) error) (Summary, error) {
 	start := time.Now()
-	var sum Summary
 	if len(entities) == 0 {
-		sum.Elapsed = time.Since(start)
-		return sum, nil
+		return nil, Summary{Elapsed: time.Since(start)}, nil
 	}
-	shared, err := chase.NewShared(entities[0].Schema(), cfg.Master, cfg.Rules)
-	if err != nil {
-		return sum, err
-	}
-	return streamShared(shared, entities, cfg, sink, start)
-}
-
-// RunShared is Run on a prebuilt schema-level groundwork (validated
-// rules + compiled form-(2) index): repeated batches over one schema
-// skip the per-call rule re-validation Stream performs. cfg.Master and
-// cfg.Rules are ignored in favour of the groundwork's own.
-func RunShared(shared *chase.Shared, entities []*model.EntityInstance, cfg Config) ([]Result, Summary, error) {
-	results := make([]Result, 0, len(entities))
-	sum, err := StreamShared(shared, entities, cfg, func(r Result) error {
-		results = append(results, r)
-		return nil
-	})
-	return results, sum, err
-}
-
-// StreamShared is Stream on a prebuilt schema-level groundwork; see
-// RunShared.
-func StreamShared(shared *chase.Shared, entities []*model.EntityInstance, cfg Config, sink func(Result) error) (Summary, error) {
-	start := time.Now()
-	var sum Summary
-	if len(entities) == 0 {
-		sum.Elapsed = time.Since(start)
-		return sum, nil
-	}
-	return streamShared(shared, entities, cfg, sink, start)
-}
-
-// streamShared is the worker-pool core behind Stream and StreamShared.
-func streamShared(shared *chase.Shared, entities []*model.EntityInstance, cfg Config, sink func(Result) error, start time.Time) (Summary, error) {
-	var sum Summary
-	schema := shared.Schema()
+	schema := entities[0].Schema()
 	for i, ie := range entities {
 		if ie.Schema() != schema {
-			return sum, fmt.Errorf("pipeline: entity %d uses schema %s, batch uses %s",
+			return nil, Summary{}, fmt.Errorf("pipeline: entity %d uses schema %s, batch uses %s",
 				i, ie.Schema().Name(), schema.Name())
 		}
 	}
-
-	n := len(entities)
-	w := cfg.workers()
-	if w > n {
-		w = n
+	shared, err := chase.NewShared(schema, cfg.Master, cfg.Rules)
+	if err != nil {
+		return nil, Summary{}, err
 	}
-	results := make([]Result, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	// Backpressure: workers must hold a token to claim an entity, and
-	// the delivery loop returns one per delivered result, so at most
-	// `window` results ever sit completed-but-undelivered. Without
-	// this, one slow early entity would let the other workers race
-	// ahead and buffer the whole batch in memory.
-	window := 2 * w
-	if window > n {
-		window = n
-	}
-	tokens := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
-		tokens <- struct{}{}
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, ok := <-tokens; !ok {
-					return // closed: early stop
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				results[i] = runEntity(i, entities[i], shared, &cfg)
-				close(done[i])
-			}
-		}()
-	}
-
-	var sinkErr error
-	for i := 0; i < n; i++ {
-		<-done[i]
-		r := results[i]
-		results[i] = Result{} // delivered; free it
-		sum.add(&r, schema.Arity())
-		if err := sink(r); err != nil {
-			sinkErr = err
-			break
-		}
-		tokens <- struct{}{}
-	}
-	// Retire the workers before returning; on early stop the in-flight
-	// entities finish but are not delivered.
-	close(tokens)
-	wg.Wait()
+	results := make([]Result, 0, len(entities))
+	src := SliceSource(entities)
+	sum, err := Stream(shared, &src, cfg, func(r Result) error {
+		results = append(results, r)
+		return nil
+	})
 	sum.Elapsed = time.Since(start)
-	return sum, sinkErr
+	return results, sum, err
 }
 
 // runEntity is the per-entity kernel: ground, deduce, search.

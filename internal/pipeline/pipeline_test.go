@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/model"
@@ -109,7 +110,8 @@ func TestRunWorkerIndependence(t *testing.T) {
 func TestStreamOrderAndProgress(t *testing.T) {
 	ds := testDataset(t, 30)
 	var seen []int
-	sum, err := Stream(instances(ds), Config{Master: ds.Master, Rules: ds.Rules, Workers: 6},
+	src := SliceSource(instances(ds))
+	sum, err := Stream(testShared(t, ds), &src, Config{Master: ds.Master, Rules: ds.Rules, Workers: 6},
 		func(r Result) error {
 			seen = append(seen, r.Index)
 			return nil
@@ -133,7 +135,8 @@ func TestStreamSinkError(t *testing.T) {
 	ds := testDataset(t, 20)
 	boom := errors.New("boom")
 	calls := 0
-	_, err := Stream(instances(ds), Config{Master: ds.Master, Rules: ds.Rules, Workers: 4},
+	src := SliceSource(instances(ds))
+	_, err := Stream(testShared(t, ds), &src, Config{Master: ds.Master, Rules: ds.Rules, Workers: 4},
 		func(r Result) error {
 			calls++
 			if r.Index == 3 {
@@ -194,18 +197,55 @@ func TestBadEntityDoesNotAbortBatch(t *testing.T) {
 }
 
 // TestMixedSchemaRejected: schema mismatches are a batch-level error,
-// reported before any work starts.
+// reported before any work starts — even when the odd entity out is the
+// last of many.
 func TestMixedSchemaRejected(t *testing.T) {
 	s1 := model.MustSchema("a", "x")
 	s2 := model.MustSchema("b", "x")
-	rules, _ := core.ParseRules("", s1, nil)
-	e1 := model.NewEntityInstance(s1)
-	e1.MustAdd(model.MustTuple(s1, model.I(1)))
-	e2 := model.NewEntityInstance(s2)
-	e2.MustAdd(model.MustTuple(s2, model.I(1)))
-	_, _, err := Run([]*model.EntityInstance{e1, e2}, Config{Rules: rules})
+	ms := model.MustSchema("m", "x")
+	im := model.NewMasterRelation(ms)
+	rules, err := core.ParseRules("", s1, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ents []*model.EntityInstance
+	for i := 0; i < 11; i++ {
+		e := model.NewEntityInstance(s1)
+		e.MustAdd(model.MustTuple(s1, model.S(fmt.Sprintf("only-in-entity-%d", i))))
+		ents = append(ents, e)
+	}
+	odd := model.NewEntityInstance(s2)
+	odd.MustAdd(model.MustTuple(s2, model.I(1)))
+	ents = append(ents, odd)
+
+	// Grounding interns an entity's values into the groundwork's
+	// dictionary, which is memoised per (schema, master, rules): Run
+	// builds its groundwork on this same dictionary, so an unchanged
+	// size means no entity was grounded.
+	shared, err := chase.NewShared(s1, im, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := shared.Dict()
+	before := dict.Size()
+	cfg := Config{Master: im, Rules: rules, Workers: 4}
+	results, sum, err := Run(ents, cfg)
 	if err == nil {
 		t.Fatal("mixed schemas were accepted")
+	}
+	if len(results) != 0 || sum.Entities != 0 {
+		t.Fatalf("rejected batch delivered %d results, summary %+v", len(results), sum)
+	}
+	if dict.Size() != before {
+		t.Fatalf("rejected batch grounded entities: dictionary grew %d -> %d", before, dict.Size())
+	}
+	// Control: the same entities without the odd one out do ground,
+	// and grow the same dictionary.
+	if _, _, err := Run(ents[:len(ents)-1], cfg); err != nil {
+		t.Fatal(err)
+	}
+	if dict.Size() == before {
+		t.Fatal("grounding left the dictionary unchanged; the check above proves nothing")
 	}
 }
 

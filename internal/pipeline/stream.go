@@ -1,15 +1,13 @@
 package pipeline
 
-// Streaming entry points: the batch pipeline without the batch. An
-// EntitySource yields completed entities one at a time (er.EntityStream
-// over a csvio.TupleIterator is the canonical chain) and StreamFrom
-// feeds them to the same worker pool Run uses, pulling from the source
-// only as workers free up — backpressure reaches all the way back to
-// the CSV reader, so a relation of any length grounds in memory
-// proportional to workers + window, never to row count. Per-entity
-// Results and the Summary are byte-identical to the materialized Run
-// over the same entities (enforced by the ingest equivalence suite);
-// the only field that cannot match is timing.
+// The batch worker pool. An EntitySource yields completed entities one
+// at a time — er.EntityStream over a csvio.TupleIterator is the
+// canonical chain, SliceSource replays a materialized batch — and
+// Stream feeds them to the workers, pulling from the source only as
+// workers free up. Backpressure reaches all the way back to the source,
+// so a relation of any length grounds in memory proportional to the
+// worker pool, never to row count. Results reach the sink in source
+// order whatever order the workers finish in.
 
 import (
 	"fmt"
@@ -27,64 +25,17 @@ type EntitySource interface {
 	Next() (*model.EntityInstance, error)
 }
 
-// RunStream drains the source through the worker pool and returns every
-// result in source order plus the batch summary. It holds all results —
-// use StreamFrom to keep memory bounded end to end.
-func RunStream(src EntitySource, cfg Config) ([]Result, Summary, error) {
-	var results []Result
-	sum, err := StreamFrom(src, cfg, func(r Result) error {
-		results = append(results, r)
-		return nil
-	})
-	return results, sum, err
-}
+// SliceSource replays a slice of entities as an EntitySource.
+type SliceSource []*model.EntityInstance
 
-// StreamFrom processes entities as the source yields them, delivering
-// results to sink in source order. The schema-level groundwork is built
-// from the first entity's schema; an empty source is an empty batch.
-// sink runs on the calling goroutine; returning an error stops the run
-// early and is returned from StreamFrom. A source error likewise stops
-// the run: in-flight entities finish but are not delivered.
-func StreamFrom(src EntitySource, cfg Config, sink func(Result) error) (Summary, error) {
-	start := time.Now()
-	var sum Summary
-	first, err := src.Next()
-	if err == io.EOF {
-		sum.Elapsed = time.Since(start)
-		return sum, nil
+// Next returns the next entity of the slice, or io.EOF after the last.
+func (s *SliceSource) Next() (*model.EntityInstance, error) {
+	if len(*s) == 0 {
+		return nil, io.EOF
 	}
-	if err != nil {
-		sum.Elapsed = time.Since(start)
-		return sum, err
-	}
-	shared, err := chase.NewShared(first.Schema(), cfg.Master, cfg.Rules)
-	if err != nil {
-		sum.Elapsed = time.Since(start)
-		return sum, err
-	}
-	return streamFrom(shared, first, src, cfg, sink, start)
-}
-
-// StreamFromShared is StreamFrom on a prebuilt schema-level groundwork
-// (cfg.Master and cfg.Rules are ignored in favour of the groundwork's
-// own), for callers that already hold a chase.Shared — the ingest
-// composition does, so the CSV dict and the chase dict are one.
-func StreamFromShared(shared *chase.Shared, src EntitySource, cfg Config, sink func(Result) error) (Summary, error) {
-	return streamFromShared(shared, src, cfg, sink, time.Now())
-}
-
-func streamFromShared(shared *chase.Shared, src EntitySource, cfg Config, sink func(Result) error, start time.Time) (Summary, error) {
-	var sum Summary
-	first, err := src.Next()
-	if err == io.EOF {
-		sum.Elapsed = time.Since(start)
-		return sum, nil
-	}
-	if err != nil {
-		sum.Elapsed = time.Since(start)
-		return sum, err
-	}
-	return streamFrom(shared, first, src, cfg, sink, start)
+	ie := (*s)[0]
+	*s = (*s)[1:]
+	return ie, nil
 }
 
 // job pairs an entity with its source-order index.
@@ -93,13 +44,23 @@ type job struct {
 	ie *model.EntityInstance
 }
 
-// streamFrom is the worker-pool core behind the streaming entry points.
-// The invariant that bounds memory: issued − delivered ≤ window at all
-// times, counting queued jobs, entities being worked, and results not
-// yet handed to sink — so neither the jobs channel, the results
-// channel, nor the reorder map can grow past the window, and the
+// Stream processes entities as the source yields them on the
+// schema-level groundwork shared (cfg.Master and cfg.Rules are ignored
+// in favour of the groundwork's own), delivering results to sink in
+// source order as soon as they and all their predecessors finish.
+// Every entity must use the groundwork's schema; the first that does
+// not stops the run with an error. sink runs on the calling goroutine;
+// returning an error stops the run early and is returned from Stream.
+// A source error likewise stops the run. After a stop, in-flight
+// entities finish but are not delivered.
+//
+// The invariant that bounds memory: issued − delivered ≤ 2·workers at
+// all times, counting queued jobs, entities being worked, and results
+// not yet handed to sink — so neither the jobs channel, the results
+// channel, nor the reorder map can grow past that window, and the
 // source is only pulled when there is room.
-func streamFrom(shared *chase.Shared, first *model.EntityInstance, src EntitySource, cfg Config, sink func(Result) error, start time.Time) (Summary, error) {
+func Stream(shared *chase.Shared, src EntitySource, cfg Config, sink func(Result) error) (Summary, error) {
+	start := time.Now()
 	var sum Summary
 	schema := shared.Schema()
 	w := cfg.workers()
@@ -120,15 +81,12 @@ func streamFrom(shared *chase.Shared, first *model.EntityInstance, src EntitySou
 
 	issued, delivered := 0, 0
 	pending := make(map[int]Result, window)
-	closed := false
-	stop := func(err error) (Summary, error) {
-		if !closed {
-			close(jobs)
-			closed = true
-		}
-		// Retire the workers before returning; in-flight entities finish
-		// into the buffered results channel (capacity ≥ issued −
-		// delivered, so no worker ever blocks) but are not delivered.
+	finish := func(err error) (Summary, error) {
+		// Retire the workers before returning; on an early stop the
+		// in-flight entities finish into the buffered results channel
+		// (capacity ≥ issued − delivered, so no worker ever blocks) but
+		// are not delivered.
+		close(jobs)
 		wg.Wait()
 		sum.Elapsed = time.Since(start)
 		return sum, err
@@ -165,40 +123,33 @@ func streamFrom(shared *chase.Shared, first *model.EntityInstance, src EntitySou
 		return nil
 	}
 
-	ie, srcErr := first, error(nil)
 	for {
-		if ie != nil {
-			if ie.Schema() != schema {
-				return stop(fmt.Errorf("pipeline: entity %d uses schema %s, batch uses %s",
-					issued, ie.Schema().Name(), schema.Name()))
-			}
-			for issued-delivered >= window {
-				if err := deliver(true); err != nil {
-					return stop(err)
-				}
-			}
-			jobs <- job{issued, ie}
-			issued++
-			if err := deliver(false); err != nil {
-				return stop(err)
-			}
-		}
-		ie, srcErr = src.Next()
-		if srcErr == io.EOF {
+		ie, err := src.Next()
+		if err == io.EOF {
 			break
 		}
-		if srcErr != nil {
-			return stop(srcErr)
+		if err != nil {
+			return finish(err)
+		}
+		if ie.Schema() != schema {
+			return finish(fmt.Errorf("pipeline: entity %d uses schema %s, batch uses %s",
+				issued, ie.Schema().Name(), schema.Name()))
+		}
+		for issued-delivered >= window {
+			if err := deliver(true); err != nil {
+				return finish(err)
+			}
+		}
+		jobs <- job{issued, ie}
+		issued++
+		if err := deliver(false); err != nil {
+			return finish(err)
 		}
 	}
-	close(jobs)
-	closed = true
 	for issued > delivered {
 		if err := deliver(true); err != nil {
-			return stop(err)
+			return finish(err)
 		}
 	}
-	wg.Wait()
-	sum.Elapsed = time.Since(start)
-	return sum, nil
+	return finish(nil)
 }

@@ -3,7 +3,10 @@
 # starting the perf-trajectory record (one BENCH_<tag>.json per PR).
 #
 # Usage:
-#   ./scripts/bench.sh [output.json]
+#   ./scripts/bench.sh output.json
+#
+# The output path is required, so a bare run cannot overwrite a
+# committed BENCH_<tag>.json record.
 #
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 1s; CI smoke uses 1x)
@@ -32,9 +35,17 @@
 #                            streaming: rows/s and peak sampled heap
 #                            (peak-bytes — the constant-memory claim) (PR 9)
 set -euo pipefail
-cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_pr9.json}"
+if [ $# -ne 1 ]; then
+  echo "usage: $0 output.json" >&2
+  exit 2
+fi
+# Resolve the output path against the caller's directory before the cd.
+case "$1" in
+/*) out="$1" ;;
+*) out="$(pwd)/$1" ;;
+esac
+cd "$(dirname "$0")/.."
 benchtime="${BENCHTIME:-1s}"
 count="${COUNT:-1}"
 
