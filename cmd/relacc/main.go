@@ -56,6 +56,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/rule"
+	"repro/internal/topk"
 )
 
 func main() {
@@ -148,7 +149,7 @@ func main() {
 		fmt.Println("specification is Church-Rosser")
 		printTarget(ie.Schema(), res.Target)
 	case "topk":
-		a, err := pipeline.ParseAlgorithm(*algo)
+		a, err := topk.ParseAlgorithm(*algo)
 		if err != nil {
 			fatal(err)
 		}
@@ -311,7 +312,7 @@ func runBatch(a batchArgs) {
 		fmt.Fprintln(os.Stderr, "relacc: batch needs exactly one of -by (identifier column) or -key (ER key attributes)")
 		os.Exit(2)
 	}
-	alg, err := pipeline.ParseAlgorithm(a.algo)
+	alg, err := topk.ParseAlgorithm(a.algo)
 	if err != nil {
 		fatal(err)
 	}
@@ -432,7 +433,7 @@ func runAppend(a appendArgs) {
 		fmt.Fprintln(os.Stderr, "relacc: append needs -by (the identifier column routing delta tuples)")
 		os.Exit(2)
 	}
-	alg, err := pipeline.ParseAlgorithm(a.algo)
+	alg, err := topk.ParseAlgorithm(a.algo)
 	if err != nil {
 		fatal(err)
 	}

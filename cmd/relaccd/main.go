@@ -4,7 +4,8 @@
 //
 //	relaccd -data seed.csv -rules rules.txt -by id [-master master.csv]
 //	        [-addr 127.0.0.1:8080] [-workers N] [-topk K] [-algo topkct|rankjoin|topkcth]
-//	        [-max-inflight N] [-data-dir DIR] [-fsync always|interval|never]
+//	        [-max-inflight N] [-max-checks N] [-max-k K]
+//	        [-data-dir DIR] [-fsync always|interval|never] [-fsync-interval D]
 //	        [-snapshot-every N] [-max-entity-tuples N]
 //
 // The CSV's header defines the entity schema every appended tuple must
@@ -45,7 +46,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chase"
 	"repro/internal/csvio"
 	"repro/internal/ingest"
 	"repro/internal/model"
@@ -74,15 +74,12 @@ func main() {
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "cadence of -fsync=interval")
 	snapshotEvery := flag.Int("snapshot-every", 0, "checkpoint after every N appends (0 = only on shutdown / POST /v1/snapshot)")
 	maxEntityTuples := flag.Int("max-entity-tuples", 0, "evidence tuples one entity may accumulate; appends past it fail with 422 (0 = unbounded)")
-	verdictCache := flag.Bool("verdict-cache", true, "memoise chase candidate checks per grounding version")
-	verdictCacheCap := flag.Int("verdict-cache-cap", 0, "verdict-cache entries per grounding version (0 = default, negative = unbounded)")
-	settledCache := flag.Bool("settled-cache", true, "memoise each entity's last (version, k, algo) query answer")
 	flag.Parse()
 	if *dataPath == "" || *rulesPath == "" {
 		fmt.Fprintln(os.Stderr, "relaccd: -data and -rules are required")
 		os.Exit(2)
 	}
-	alg, err := pipeline.ParseAlgorithm(*algo)
+	alg, err := topk.ParseAlgorithm(*algo)
 	if err != nil {
 		fatal(err)
 	}
@@ -146,14 +143,6 @@ func main() {
 		// Bound the evidence ONE entity may accumulate: with a durable
 		// log the absorb failure replays identically on recovery.
 		MaxEntityTuples: *maxEntityTuples,
-		// The two read-path caches are semantically invisible (cached
-		// answers are byte-identical to recomputing); the flags exist
-		// for measurement and emergency memory relief.
-		Options: chase.Options{
-			DisableVerdictCache: !*verdictCache,
-			VerdictCacheCap:     *verdictCacheCap,
-		},
-		DisableSettledCache: !*settledCache,
 	})
 	if err != nil {
 		fatal(err)

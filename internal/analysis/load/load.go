@@ -316,7 +316,12 @@ func (ld *loader) importSource(path, dir string) (*types.Package, error) {
 
 // analyze builds the analyzed variant(s) of one package directory: the
 // package itself (with in-package test files when cfg.Tests), plus the
-// external test package when one exists.
+// external test package when one exists. As under go test, the external
+// test package imports the test-augmented variant, so exported helpers
+// declared in in-package _test.go files resolve. (go test also rebuilds
+// the module packages that import the package under test against that
+// variant; here they keep the pure one, which surfaces as a type error
+// only if an external test mixes the two.)
 func (ld *loader) analyze(dir string) ([]*Package, error) {
 	path, err := ld.pathFor(dir)
 	if err != nil {
@@ -334,13 +339,18 @@ func (ld *loader) analyze(dir string) ([]*Package, error) {
 		names = append(append([]string(nil), bp.GoFiles...), bp.TestGoFiles...)
 	}
 	var out []*Package
-	pkg, err := ld.check(path, dir, names)
+	pkg, err := ld.check(path, dir, names, importerFunc(ld.Import))
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, pkg)
 	if ld.cfg.Tests && len(bp.XTestGoFiles) > 0 {
-		xpkg, err := ld.check(path+"_test", dir, bp.XTestGoFiles)
+		xpkg, err := ld.check(path+"_test", dir, bp.XTestGoFiles, importerFunc(func(p string) (*types.Package, error) {
+			if p == path {
+				return pkg.Types, nil
+			}
+			return ld.Import(p)
+		}))
 		if err != nil {
 			return nil, err
 		}
@@ -350,8 +360,8 @@ func (ld *loader) analyze(dir string) ([]*Package, error) {
 }
 
 // check parses and type-checks one file set as an analysis unit with
-// full type information.
-func (ld *loader) check(path, dir string, names []string) (*Package, error) {
+// full type information, resolving imports through imp.
+func (ld *loader) check(path, dir string, names []string, imp types.Importer) (*Package, error) {
 	files, err := ld.parse(dir, names)
 	if err != nil {
 		return nil, err
@@ -365,7 +375,7 @@ func (ld *loader) check(path, dir string, names []string) (*Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	pkg := &Package{Path: path, Fset: ld.fset, Files: files, Info: info}
-	conf := types.Config{Importer: importerFunc(ld.Import)}
+	conf := types.Config{Importer: imp}
 	conf.Error = func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) }
 	tpkg, _ := conf.Check(path, ld.fset, files, info)
 	pkg.Types = tpkg

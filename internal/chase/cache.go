@@ -32,16 +32,6 @@ import (
 // key). Candidates assembled by the top-k search carry pre-interned ID
 // rows and are always cacheable.
 
-// verdictEntry is one memoised check outcome: the conflict description
-// ("" = Church-Rosser) and, for CR checks, the deduced target tuple.
-// The target is stored once, cloned from the engine that computed it,
-// and shared read-only by every hit; Checker.Target re-clones it per
-// caller.
-type verdictEntry struct {
-	conflict string
-	target   *model.Tuple
-}
-
 // verdictKey packs template's value-ID row into buf (reused across
 // calls) as nattr big-endian uint32s: null attributes pack as
 // model.NullID, known values as their dictionary ID. It reports

@@ -357,12 +357,13 @@ type Grounding struct {
 	// trigger, so the per-derived-pair fast path stays one branch.
 	hasOrderTrig bool
 
-	// verdicts memoises Checker verdicts for this version, keyed by the
-	// template's packed value-ID row (cache.go). It is version-private:
+	// verdicts memoises Checker verdicts for this version: the
+	// template's packed value-ID row (cache.go) maps to the check's
+	// conflict description ("" = Church-Rosser). It is version-private:
 	// Extend gives the successor a fresh cache (sharing only cumulative
 	// counters), so entries never outlive the grounding they are valid
 	// for. nil when Options.DisableVerdictCache was set.
-	verdicts *vcache.Cache[verdictEntry]
+	verdicts *vcache.Cache[string]
 
 	poolOnce sync.Once
 	pool     *CheckerPool
@@ -1020,14 +1021,15 @@ func (g *Grounding) baseChase(zeroPairs []packedPair) {
 			e.fireOrderKey(k)
 		}
 	}
-	// Fire correlation rules on the seeded pairs.
+	// Fire correlation rules on the seeded pairs, one row word at a
+	// time.
 	for a := 0; a < g.nattr; a++ {
 		if len(g.corrs[a]) == 0 {
 			continue
 		}
 		aa := int32(a)
-		e.orders.Attr(a).VisitPairs(func(i, j int) {
-			e.fireCorr(aa, int32(i), int32(j))
+		e.orders.Attr(a).VisitWords(func(i, wi int, diff uint64) {
+			e.fireCorrWord(aa, int32(i), wi, diff)
 		})
 	}
 	// Seed zero-premise pairs and already-complete order steps.

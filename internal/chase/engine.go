@@ -13,20 +13,19 @@ import (
 type eventKind uint8
 
 const (
-	evPair     eventKind = iota // derive ti ⪯attr tj
-	evPairMask                  // derive ti ⪯attr tj for every bit j of a word mask
+	evPairMask eventKind = iota // derive ti ⪯attr (wi<<6)+b for every set bit b of mask
 	evTarget                    // instantiate te[attr] = val
 	evStep                      // enforce ground step idx
 )
 
 type event struct {
-	kind eventKind
-	attr int32
-	i, j int32 // for evPairMask, j is the word index of mask
-	idx  int32
-	val  model.Value
-	vid  uint32 // dictionary ID of val, for evTarget events
-	mask uint64 // for evPairMask: each set bit b derives i ⪯ (j<<6)+b
+	kind  eventKind
+	attr  int32
+	i, wi int32 // for evPairMask: the row and the word index of mask
+	idx   int32
+	val   model.Value
+	vid   uint32 // dictionary ID of val, for evTarget events
+	mask  uint64 // for evPairMask: each set bit b derives i ⪯ (wi<<6)+b
 }
 
 // engine is the mutable chase state shared by the base chase and by
@@ -145,16 +144,17 @@ func (e *engine) markDead(s int32) {
 	}
 }
 
+// pushPair enqueues the single pair i ⪯attr j as a one-bit masked event.
 func (e *engine) pushPair(attr, i, j int32) {
-	e.queue = append(e.queue, event{kind: evPair, attr: attr, i: i, j: j})
+	e.pushPairMask(attr, i, j>>6, 1<<(uint(j)&63))
 }
 
 // pushPairMask enqueues a whole word of pairs at once: i ⪯attr (wi<<6)+b
-// for every set bit b of mask. One queue entry replaces up to 64 evPair
-// entries — the event-queue churn the correlation cascade used to pay
-// per pair on large entities.
+// for every set bit b of mask. One queue entry stands for up to 64
+// pairs — the event-queue churn the correlation cascade would otherwise
+// pay per pair on large entities.
 func (e *engine) pushPairMask(attr, i, wi int32, mask uint64) {
-	e.queue = append(e.queue, event{kind: evPairMask, attr: attr, i: i, j: wi, mask: mask})
+	e.queue = append(e.queue, event{kind: evPairMask, attr: attr, i: i, wi: wi, mask: mask})
 }
 
 func (e *engine) pushTarget(attr int32, v model.Value, vid uint32) {
@@ -175,10 +175,8 @@ func (e *engine) drain() {
 		ev := e.queue[e.head]
 		e.head++
 		switch ev.kind {
-		case evPair:
-			e.applyPair(ev.attr, ev.i, ev.j)
 		case evPairMask:
-			e.applyPairMask(ev.attr, ev.i, ev.j, ev.mask)
+			e.applyPairMask(ev.attr, ev.i, ev.wi, ev.mask)
 		case evTarget:
 			e.applyTarget(ev.attr, ev.val, ev.vid)
 		case evStep:
@@ -318,26 +316,6 @@ func (e *engine) fireOrderRefs(refs []predRef) {
 		e.npred[ref.step]--
 		if e.npred[ref.step] == 0 {
 			e.pushStep(ref.step)
-		}
-	}
-}
-
-// fireCorr propagates a derived pair through the correlated-attribute
-// rules registered on attr.
-func (e *engine) fireCorr(attr, x, y int32) {
-	for _, cr := range e.g.corrs[attr] {
-		if cr.strict && e.g.valEq(attr, x, y) {
-			continue
-		}
-		ok := true
-		for _, p := range cr.extra {
-			if !e.g.evalCmpOnPair(p, x, y) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			e.pushPair(cr.toAttr, x, y)
 		}
 	}
 }

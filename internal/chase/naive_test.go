@@ -14,7 +14,8 @@ import (
 // applicable step and declaring the specification not Church-Rosser as
 // soon as an enforceable step is invalid. It is exponentially slower
 // than Grounding.Run and exists as the reference implementation for
-// differential (property-based) testing.
+// differential (property-based) testing; it is exported so the external
+// chase_test files can call it too.
 func Naive(spec Spec, opts Options, template *model.Tuple) *Result {
 	n := spec.Ie.Size()
 	schema := spec.Ie.Schema()

@@ -22,11 +22,8 @@ import (
 type Checker struct {
 	g *Grounding
 	e *engine
-	// kbuf is the reusable verdict-key buffer; hit holds the cached
-	// target of the last CheckConflict that was answered from the
-	// verdict cache (nil when the last check actually ran).
+	// kbuf is the reusable verdict-key buffer.
 	kbuf []byte
-	hit  *model.Tuple
 }
 
 // NewChecker creates a reusable checker over g.
@@ -55,43 +52,23 @@ func (c *Checker) CheckConflict(template *model.Tuple) string {
 	if c.g.baseConflict != "" {
 		return c.g.baseConflict
 	}
-	c.hit = nil
 	var key []byte
 	cacheable := false
 	if c.g.verdicts != nil {
 		key, cacheable = c.g.verdictKey(template, c.kbuf)
 		c.kbuf = key
 		if cacheable {
-			if ent, ok := c.g.verdicts.Get(key); ok {
-				c.hit = ent.target
-				return ent.conflict
+			if conflict, ok := c.g.verdicts.Get(key); ok {
+				return conflict
 			}
 		}
 	}
 	c.e.reset()
 	c.g.runWith(c.e, template)
 	if cacheable {
-		ent := verdictEntry{conflict: c.e.conflict}
-		if ent.conflict == "" {
-			ent.target = c.e.te.Clone()
-		}
-		c.g.verdicts.Put(key, ent)
+		c.g.verdicts.Put(key, c.e.conflict)
 	}
 	return c.e.conflict
-}
-
-// Target returns the target tuple deduced by the last successful Check,
-// cloned so it survives the checker's next run. It is only meaningful
-// immediately after a Check that returned true. When that check was
-// answered from the verdict cache, the returned tuple is the target
-// deduced for the first Norm-equal template checked against this
-// version — identical to this template's deduction up to
-// model.Value.Norm (the equivalence the cache key is built on).
-func (c *Checker) Target() *model.Tuple {
-	if c.hit != nil {
-		return c.hit.Clone()
-	}
-	return c.e.te.Clone()
 }
 
 // CheckerPool is a sync.Pool-backed pool of Checkers over one

@@ -72,9 +72,6 @@ func TestCheckerMatchesRun(t *testing.T) {
 		if gotConflict != want.Conflict {
 			t.Fatalf("candidate %d: conflict %q, want %q", i, gotConflict, want.Conflict)
 		}
-		if want.CR && !c.Target().EqualTo(want.Target) {
-			t.Fatalf("candidate %d: pooled target %s, want %s", i, c.Target(), want.Target)
-		}
 	}
 }
 
@@ -182,10 +179,6 @@ func TestPooledEngineNoStateLeak(t *testing.T) {
 				if (conflict == "") != want[i].CR || conflict != want[i].Conflict {
 					t.Fatalf("iter %d pass %d template %d: pooled (CR=%v, %q), fresh (CR=%v, %q)",
 						iter, pass, i, conflict == "", conflict, want[i].CR, want[i].Conflict)
-				}
-				if want[i].CR && !c.Target().EqualTo(want[i].Target) {
-					t.Fatalf("iter %d pass %d template %d: pooled target %s, fresh %s",
-						iter, pass, i, c.Target(), want[i].Target)
 				}
 			}
 		}

@@ -100,7 +100,7 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 		dict:      sh.dict,
 	}
 	if !opts.DisableVerdictCache {
-		g.verdicts = vcache.New[verdictEntry](opts.VerdictCacheCap)
+		g.verdicts = vcache.New[string](opts.VerdictCacheCap)
 	}
 	g.indexValues()
 	zero := g.ground()

@@ -44,14 +44,14 @@ type (
 	// Oracle drives the interactive framework.
 	Oracle = framework.Oracle
 	// Algorithm selects a top-k candidate algorithm.
-	Algorithm = framework.Algorithm
+	Algorithm = topk.Algorithm
 )
 
 // Top-k algorithm choices.
 const (
-	AlgoTopKCT     = framework.AlgoTopKCT
-	AlgoRankJoinCT = framework.AlgoRankJoinCT
-	AlgoTopKCTh    = framework.AlgoTopKCTh
+	AlgoTopKCT     = topk.AlgoTopKCT
+	AlgoRankJoinCT = topk.AlgoRankJoinCT
+	AlgoTopKCTh    = topk.AlgoTopKCTh
 )
 
 // Session is a grounded specification S = (D0, Σ, Im, te0): the
@@ -138,14 +138,7 @@ func (s *Session) TopK(pref Preference, algo Algorithm) ([]Candidate, SearchStat
 	if !res.CR {
 		return nil, SearchStats{}, fmt.Errorf("core: specification is not Church-Rosser: %s", res.Conflict)
 	}
-	switch algo {
-	case AlgoRankJoinCT:
-		return topk.RankJoinCT(s.g, res.Target, pref)
-	case AlgoTopKCTh:
-		return topk.TopKCTh(s.g, res.Target, pref)
-	default:
-		return topk.TopKCT(s.g, res.Target, pref)
-	}
+	return topk.Search(s.g, res.Target, pref, algo)
 }
 
 // Interact runs the full framework loop of Fig. 3 with the given user

@@ -28,24 +28,12 @@ type Oracle interface {
 	Reveal(te *model.Tuple, attrs []string) (string, model.Value, bool)
 }
 
-// Algorithm selects the top-k candidate search used in step (3).
-type Algorithm int
-
-const (
-	// AlgoTopKCT uses TopKCT (the default; Section 6.2).
-	AlgoTopKCT Algorithm = iota
-	// AlgoRankJoinCT uses RankJoinCT (Section 6.1).
-	AlgoRankJoinCT
-	// AlgoTopKCTh uses the heuristic TopKCTh (Section 6.3).
-	AlgoTopKCTh
-)
-
 // Config tunes the loop.
 type Config struct {
 	// Pref is the preference model (k, p(·)).
 	Pref topk.Preference
-	// Algo selects the candidate algorithm.
-	Algo Algorithm
+	// Algo selects the candidate algorithm used in step (3).
+	Algo topk.Algorithm
 	// MaxRounds bounds user-interaction rounds; 0 means 10.
 	MaxRounds int
 }
@@ -90,16 +78,7 @@ func Run(g *chase.Grounding, cfg Config, oracle Oracle) (*Outcome, error) {
 			out.Found = true
 			return out, nil
 		}
-		var cands []topk.Candidate
-		var err error
-		switch cfg.Algo {
-		case AlgoRankJoinCT:
-			cands, _, err = topk.RankJoinCT(g, res.Target, cfg.Pref)
-		case AlgoTopKCTh:
-			cands, _, err = topk.TopKCTh(g, res.Target, cfg.Pref)
-		default:
-			cands, _, err = topk.TopKCT(g, res.Target, cfg.Pref)
-		}
+		cands, _, err := topk.Search(g, res.Target, cfg.Pref, cfg.Algo)
 		if err != nil {
 			return nil, err
 		}

@@ -113,8 +113,8 @@ func TestNonCRRejected(t *testing.T) {
 
 // TestAllAlgorithms: the loop converges with every candidate algorithm.
 func TestAllAlgorithms(t *testing.T) {
-	for _, algo := range []framework.Algorithm{
-		framework.AlgoTopKCT, framework.AlgoRankJoinCT, framework.AlgoTopKCTh,
+	for _, algo := range []topk.Algorithm{
+		topk.AlgoTopKCT, topk.AlgoRankJoinCT, topk.AlgoTopKCTh,
 	} {
 		g := grounding(t, "phi6b")
 		oracle := &framework.GroundTruthOracle{Truth: paperdata.Target()}

@@ -30,6 +30,23 @@ func randomRelation(rng *rand.Rand, n int, density float64) *Relation {
 	return r
 }
 
+// addAllToPairs runs AddAllToWords on r and expands the word masks it
+// hands back into pairs, in the order they were visited; an empty word
+// mask fails the test.
+func addAllToPairs(t testing.TB, r *Relation, group []int32) []Pair {
+	var out []Pair
+	r.AddAllToWords(group, func(p, wi int, diff uint64) bool {
+		if diff == 0 {
+			t.Fatalf("AddAllToWords(%v): empty word mask for row %d word %d", group, p, wi)
+		}
+		for ; diff != 0; diff &= diff - 1 {
+			out = append(out, Pair{From: p, To: wi<<6 + bits.TrailingZeros64(diff)})
+		}
+		return true
+	})
+	return out
+}
+
 func sameRows(a, b *Relation) bool {
 	if a.n != b.n || a.w != b.w || len(a.rows) != len(b.rows) {
 		return false
@@ -60,11 +77,11 @@ func TestKernelMaxDifferential(t *testing.T) {
 		// Full clique: every index is maximal; both must pick index 0.
 		if n > 0 {
 			r := New(n)
-			members := make([]int, n)
+			members := make([]int32, n)
 			for i := range members {
-				members[i] = i
+				members[i] = int32(i)
 			}
-			r.SetClique(members)
+			r.SetClique32(members)
 			if got, want := r.Max(), r.refMax(); got != want || got != 0 {
 				t.Fatalf("n=%d clique: Max=%d refMax=%d", n, got, want)
 			}
@@ -159,9 +176,10 @@ func TestKernelAddDifferential(t *testing.T) {
 	}
 }
 
-// TestKernelAddAllToDifferential drives AddAllTo32 and refAddAllTo32
+// TestKernelAddAllToDifferential drives AddAllToWords and refAddAllTo32
 // with the same groups on separate relations, comparing the visited
-// pair sequences and final matrices.
+// pair sequences (the word masks expanded bit by bit) and final
+// matrices.
 func TestKernelAddAllToDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range kernelSizes {
@@ -175,8 +193,8 @@ func TestKernelAddAllToDifferential(t *testing.T) {
 			for k := range group {
 				group[k] = int32(rng.Intn(n))
 			}
-			var got, want []Pair
-			fast.AddAllTo32(group, func(f, to int) { got = append(got, Pair{f, to}) })
+			got := addAllToPairs(t, fast, group)
+			var want []Pair
 			ref.refAddAllTo32(group, func(f, to int) { want = append(want, Pair{f, to}) })
 			if len(got) != len(want) {
 				t.Fatalf("n=%d group %v: %d pairs, ref %d", n, group, len(got), len(want))
@@ -244,9 +262,9 @@ func TestKernelDirtyTracking(t *testing.T) {
 				tr.Add(rng.Intn(n), rng.Intn(n))
 			case 1:
 				group := []int32{int32(rng.Intn(n))}
-				tr.AddAllTo32(group, func(int, int) {})
+				tr.AddAllToWords(group, func(int, int, uint64) bool { return true })
 			case 2:
-				tr.SetClique([]int{rng.Intn(n), rng.Intn(n)})
+				tr.SetClique32([]int32{int32(rng.Intn(n)), int32(rng.Intn(n))})
 			}
 		}
 		tr.ResetFrom(base)
@@ -294,15 +312,15 @@ func FuzzRelationOps(f *testing.F) {
 				}
 			case 1: // bulk ϕ8 group
 				group := []int32{int32(a), int32(b)}
-				var got, want []Pair
-				fast.AddAllTo32(group, func(x, y int) { got = append(got, Pair{x, y}) })
+				got := addAllToPairs(t, fast, group)
+				var want []Pair
 				ref.refAddAllTo32(group, func(x, y int) { want = append(want, Pair{x, y}) })
 				if len(got) != len(want) {
-					t.Fatalf("AddAllTo(%v): %d pairs vs ref %d", group, len(got), len(want))
+					t.Fatalf("AddAllToWords(%v): %d pairs vs ref %d", group, len(got), len(want))
 				}
 				for k := range got {
 					if got[k] != want[k] {
-						t.Fatalf("AddAllTo(%v) pair %d: %v vs %v", group, k, got[k], want[k])
+						t.Fatalf("AddAllToWords(%v) pair %d: %v vs %v", group, k, got[k], want[k])
 					}
 				}
 			case 2: // clique seed (closure-safe only on matching state; use refAdd path)

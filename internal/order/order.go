@@ -23,7 +23,7 @@
 // AddAllToWords) hand newly derived pairs back as per-row word masks so
 // callers — the chase engine — consume them word-at-a-time. Every
 // word-parallel kernel is bit-for-bit equivalent to the naive bit-loop
-// reference retained in reference.go; kernel_test.go enforces the
+// reference retained in reference_test.go; kernel_test.go enforces the
 // equivalence differentially.
 package order
 
@@ -46,12 +46,10 @@ type Relation struct {
 	// scheme behind the chase engine pool.
 	dirty []uint64
 	// scratch is the reusable one-row mask buffer of the insertion
-	// kernels; idx32 backs the []int → []int32 widening of the wrapper
-	// methods; pairBuf backs Add's result slice and diffBuf AddDiffs'.
-	// Together they make the mutation hot path allocation-free on a
-	// long-lived relation.
+	// kernels; mwBuf lists AddDiffs' live mask words; pairBuf backs
+	// Add's result slice and diffBuf AddDiffs'. Together they make the
+	// mutation hot path allocation-free on a long-lived relation.
 	scratch []uint64
-	idx32   []int32
 	mwBuf   []int32
 	pairBuf []Pair
 	diffBuf []WordDiff
@@ -78,28 +76,6 @@ func (r *Relation) mask() []uint64 {
 		}
 	}
 	return r.scratch
-}
-
-// widen reuses the idx32 buffer to widen an index list for the 32-bit
-// bulk kernels, which are the implementation (the chase hands value-ID
-// groups over as []int32; the []int wrappers exist for callers and
-// tests that index with int). The previous widening copy allocated on
-// every SetClique/SetBelow/AddAllTo call; the buffer survives on the
-// relation instead. off reserves a prefix so SetBelow can hold two
-// lists in the one buffer.
-func (r *Relation) widen(xs []int, off int) []int32 {
-	need := off + len(xs)
-	if cap(r.idx32) < need {
-		grown := make([]int32, need)
-		copy(grown, r.idx32)
-		r.idx32 = grown
-	}
-	r.idx32 = r.idx32[:need]
-	out := r.idx32[off:need]
-	for i, x := range xs {
-		out[i] = int32(x)
-	}
-	return out
 }
 
 // New creates an empty relation over n tuples.
@@ -242,31 +218,15 @@ func (r *Relation) AddDiffs(i, j int) []WordDiff {
 	return diffs
 }
 
-// AddAllTo bulk-inserts x ⪯ g for every tuple x and every g in group,
-// restoring transitive closure, and calls visit for each newly derived
-// pair. It implements the axiom ϕ8: once te[A] is known, every tuple is
-// at most as accurate as the tuples carrying that value.
-func (r *Relation) AddAllTo(group []int, visit func(from, to int)) {
-	r.AddAllTo32(r.widen(group, 0), visit)
-}
-
-// AddAllTo32 is AddAllTo over an int32 group — the chase's ϕ8 firing
-// path hands the value-ID equality class straight through.
-func (r *Relation) AddAllTo32(group []int32, visit func(from, to int)) {
-	r.AddAllToWords(group, func(p, wi int, diff uint64) bool {
-		base := wi << 6
-		for d := diff; d != 0; d &= d - 1 {
-			visit(p, base+bits.TrailingZeros64(d))
-		}
-		return true
-	})
-}
-
-// AddAllToWords is the word-mask form of AddAllTo32: it ORs the group's
-// accumulated successor mask into every row and hands the newly derived
-// pairs back as per-row word masks, rows then words ascending — the
-// shape the chase engine consumes word-at-a-time. Returning false from
-// visit stops further visits; the matrix is still fully updated.
+// AddAllToWords bulk-inserts x ⪯ g for every tuple x and every g in
+// group, restoring transitive closure. It implements the axiom ϕ8: once
+// te[A] is known, every tuple is at most as accurate as the tuples
+// carrying that value (the chase hands the value-ID equality class
+// straight through). It ORs the group's accumulated successor mask
+// into every row and hands the newly derived pairs back as per-row word
+// masks, rows then words ascending — the shape the chase engine
+// consumes word-at-a-time. Returning false from visit stops further
+// visits; the matrix is still fully updated.
 func (r *Relation) AddAllToWords(group []int32, visit func(p, wi int, diff uint64) bool) {
 	if len(group) == 0 {
 		return
@@ -280,14 +240,6 @@ func (r *Relation) AddAllToWords(group []int32, visit func(p, wi int, diff uint6
 		}
 		mask[g>>6] |= 1 << (uint(g) & 63)
 	}
-	r.addMaskWords(mask, visit)
-}
-
-// addMaskWords ORs mask into every row, handing each row's newly
-// derived bits to visit word-at-a-time; the closure-restoring core
-// shared by the AddAllTo variants.
-func (r *Relation) addMaskWords(mask []uint64, visit func(p, wi int, diff uint64) bool) {
-	w := r.w
 	live := true
 	for p := 0; p < r.n; p++ {
 		row := r.row(p)
@@ -309,17 +261,12 @@ func (r *Relation) addMaskWords(mask []uint64, visit func(p, wi int, diff uint64
 	}
 }
 
-// SetClique marks every ordered pair within members (including reflexive
-// pairs) as derived, without closure propagation. It is used to seed the
-// initial relation with the value-equality cliques of axiom ϕ9; callers
-// must only use it on an empty relation where cliques are closure-safe.
-func (r *Relation) SetClique(members []int) {
-	r.SetClique32(r.widen(members, 0))
-}
-
-// SetClique32 is SetClique over int32 member lists — the value-ID
-// groups of the chase index their equality classes as []int32, and the
-// seeding hot path should not copy them into []int first.
+// SetClique32 marks every ordered pair within members (including
+// reflexive pairs) as derived, without closure propagation. It is used
+// to seed the initial relation with the value-equality cliques of axiom
+// ϕ9 (the chase's value-ID groups index their equality classes as
+// []int32); callers must only use it on an empty relation where cliques
+// are closure-safe.
 func (r *Relation) SetClique32(members []int32) {
 	if len(members) == 0 {
 		return
@@ -338,18 +285,11 @@ func (r *Relation) SetClique32(members []int32) {
 	}
 }
 
-// SetBelow marks lo ⪯ hi for every lo in los and hi in his, without
+// SetBelow32 marks lo ⪯ hi for every lo in los and hi in his, without
 // closure propagation. It seeds the initial relation with axiom ϕ7
 // (null values have the lowest accuracy); callers must ensure closure
-// safety as for SetClique (nulls form a clique that reaches all
+// safety as for SetClique32 (nulls form a clique that reaches all
 // non-null tuples, which have no outgoing edges yet).
-func (r *Relation) SetBelow(los, his []int) {
-	l := r.widen(los, 0)
-	h := r.widen(his, len(los))
-	r.SetBelow32(l, h)
-}
-
-// SetBelow32 is SetBelow over int32 index lists; see SetClique32.
 func (r *Relation) SetBelow32(los, his []int32) {
 	if len(los) == 0 || len(his) == 0 {
 		return
@@ -488,18 +428,17 @@ func (r *Relation) ColumnCountsInto(counts []int) []int {
 	return counts
 }
 
-// VisitPairs calls visit for every derived pair i ⪯ j with i ≠ j.
-func (r *Relation) VisitPairs(visit func(i, j int)) {
+// VisitWords calls visit for every row word holding a derived pair
+// i ⪯ j with i ≠ j, rows then words ascending: bit b of word stands for
+// j = (wi<<6)+b, and the reflexive bit is masked off.
+func (r *Relation) VisitWords(visit func(i, wi int, word uint64)) {
 	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		for wi, word := range row {
-			for word != 0 {
-				b := word & -word
-				j := wi<<6 + bits.TrailingZeros64(b)
-				if j != i {
-					visit(i, j)
-				}
-				word &= word - 1
+		for wi, word := range r.row(i) {
+			if wi == i>>6 {
+				word &^= 1 << (uint(i) & 63)
+			}
+			if word != 0 {
+				visit(i, wi, word)
 			}
 		}
 	}
@@ -509,7 +448,11 @@ func (r *Relation) VisitPairs(visit func(i, j int)) {
 // order. Intended for tests and debugging.
 func (r *Relation) Pairs() []Pair {
 	out := make([]Pair, 0, r.Len())
-	r.VisitPairs(func(i, j int) { out = append(out, Pair{From: i, To: j}) })
+	r.VisitWords(func(i, wi int, word uint64) {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, Pair{From: i, To: wi<<6 + bits.TrailingZeros64(word)})
+		}
+	})
 	return out
 }
 
@@ -566,23 +509,6 @@ func (r *Relation) CloneTracked() *Relation {
 	out := r.Clone()
 	out.dirty = make([]uint64, (r.n+63)/64)
 	return out
-}
-
-// CloneInto overwrites dst with a deep copy of r, reusing dst's buffers
-// when shapes match (reallocating otherwise). dst's dirty-tracking mode
-// is preserved; all rows are marked clean.
-func (r *Relation) CloneInto(dst *Relation) {
-	if dst.n != r.n || dst.w != r.w || len(dst.rows) != len(r.rows) {
-		dst.n, dst.w = r.n, r.w
-		dst.rows = make([]uint64, len(r.rows))
-		if dst.dirty != nil {
-			dst.dirty = make([]uint64, (r.n+63)/64)
-		}
-	}
-	copy(dst.rows, r.rows)
-	for i := range dst.dirty {
-		dst.dirty[i] = 0
-	}
 }
 
 // CopyFrom overwrites r with src's contents; the relations must have the

@@ -7,9 +7,8 @@ import "math/bits"
 // reference for kernel_test.go and FuzzRelationOps: every word-parallel
 // kernel must stay bit-for-bit equivalent to its reference here (the
 // DESIGN.md "order kernel" invariant — the reference is kept and
-// tested, not deleted). None of these are called outside tests; they
-// favour being obviously faithful to the Section 2 semantics over
-// speed.
+// tested, not deleted). They favour being obviously faithful to the
+// Section 2 semantics over speed.
 
 // refMax is the O(n²) probe-based Max: scan columns left to right and
 // return the first column j whose every other row i has i ⪯ j.
@@ -59,7 +58,13 @@ func (r *Relation) refColumnCounts() []int {
 // refLen counts non-reflexive derived pairs by enumerating them.
 func (r *Relation) refLen() int {
 	c := 0
-	r.VisitPairs(func(_, _ int) { c++ })
+	for i := 0; i < r.n; i++ {
+		for j := 0; j < r.n; j++ {
+			if i != j && r.Has(i, j) {
+				c++
+			}
+		}
+	}
 	return c
 }
 

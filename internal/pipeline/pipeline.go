@@ -25,37 +25,21 @@ import (
 	"time"
 
 	"repro/internal/chase"
-	"repro/internal/framework"
 	"repro/internal/model"
 	"repro/internal/rule"
 	"repro/internal/topk"
 )
 
 // Algorithm selects a top-k candidate algorithm (re-exported from
-// package framework so pipeline callers need not import it).
-type Algorithm = framework.Algorithm
+// package topk so pipeline callers need not import it).
+type Algorithm = topk.Algorithm
 
 // Top-k algorithm choices.
 const (
-	AlgoTopKCT     = framework.AlgoTopKCT
-	AlgoRankJoinCT = framework.AlgoRankJoinCT
-	AlgoTopKCTh    = framework.AlgoTopKCTh
+	AlgoTopKCT     = topk.AlgoTopKCT
+	AlgoRankJoinCT = topk.AlgoRankJoinCT
+	AlgoTopKCTh    = topk.AlgoTopKCTh
 )
-
-// ParseAlgorithm maps an algorithm's wire name — what cmd/relacc flags
-// and the relaccd query parameters use — to its Algorithm value:
-// "topkct", "rankjoin" or "topkcth".
-func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "topkct":
-		return AlgoTopKCT, nil
-	case "rankjoin":
-		return AlgoRankJoinCT, nil
-	case "topkcth":
-		return AlgoTopKCTh, nil
-	}
-	return 0, fmt.Errorf("pipeline: unknown algorithm %q", name)
-}
 
 // Config tunes one batch run. The zero value deduces only (no candidate
 // search) on GOMAXPROCS workers.
@@ -295,17 +279,7 @@ func runGrounding(out *Result, g *chase.Grounding, cfg *Config) {
 	pref := cfg.Pref
 	pref.K = cfg.TopK
 	pref.Parallel = 0
-	var cands []topk.Candidate
-	var stats topk.Stats
-	var err error
-	switch cfg.Algo {
-	case AlgoRankJoinCT:
-		cands, stats, err = topk.RankJoinCT(g, out.Deduction.Target, pref)
-	case AlgoTopKCTh:
-		cands, stats, err = topk.TopKCTh(g, out.Deduction.Target, pref)
-	default:
-		cands, stats, err = topk.TopKCT(g, out.Deduction.Target, pref)
-	}
+	cands, stats, err := topk.Search(g, out.Deduction.Target, pref, cfg.Algo)
 	// Keep the partial candidates and Stats an aborted search returns
 	// (RankJoinCT's budget abort verifies candidates before it gives
 	// up) — the serving layer degrades to partials, it does not

@@ -7,8 +7,11 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/core"
+	"repro/internal/er"
 	"repro/internal/gen"
 	"repro/internal/model"
+	"repro/internal/paperdata"
+	"repro/internal/rule"
 	"repro/internal/topk"
 )
 
@@ -280,5 +283,167 @@ func TestEach(t *testing.T) {
 	})
 	if err == nil || err.Error() != "e3" {
 		t.Fatalf("err = %v, want e3", err)
+	}
+}
+
+// settledTarget is the target a result settles on: the complete
+// deduction, else the best verified candidate, else nil.
+func settledTarget(r Result) *model.Tuple {
+	switch r.Status() {
+	case "complete":
+		return r.Deduction.Target
+	case "candidates":
+		return r.Candidates[0].Tuple
+	}
+	return nil
+}
+
+// TestResolveRunGeneratedAccuracy: a generated Med relation, flattened
+// into one dirty relation, goes through er.Resolve and Run with top-1
+// filling; the settled targets must recover the ground truth.
+func TestResolveRunGeneratedAccuracy(t *testing.T) {
+	ds := testDataset(t, 120)
+	var tuples []*model.Tuple
+	for _, e := range ds.Entities {
+		tuples = append(tuples, e.Instance.Tuples()...)
+	}
+	// The generator's name attribute is the natural ER key.
+	ents, err := er.Resolve(tuples, ds.Schema,
+		er.Config{KeyAttrs: []string{"name"}, BlockAttr: "name", BlockPrefix: 12, Threshold: 0.95})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, sum, err := Run(ents, Config{Master: ds.Master, Rules: ds.Rules, TopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Entities != len(ds.Entities) {
+		t.Fatalf("ER recovered %d entities, want %d", sum.Entities, len(ds.Entities))
+	}
+	truthByName := map[string]*model.Tuple{}
+	for _, e := range ds.Entities {
+		truthByName[e.ID] = e.Truth
+	}
+	total, correct := 0, 0
+	for _, r := range results {
+		f := settledTarget(r)
+		if f == nil {
+			continue
+		}
+		name, _ := f.Get("name")
+		truth := truthByName[name.Str()]
+		if truth == nil {
+			t.Fatalf("settled target with unknown name %v", name)
+		}
+		for a := 0; a < ds.Schema.Arity(); a++ {
+			if f.At(a).IsNull() {
+				continue
+			}
+			total++
+			if f.At(a).Equal(truth.At(a)) {
+				correct++
+			}
+		}
+	}
+	rate := float64(correct) / float64(total)
+	t.Logf("non-null attribute accuracy %.3f; %s", rate, sum.String())
+	if rate < 0.85 {
+		t.Errorf("settled accuracy %.3f too low", rate)
+	}
+	if sum.NotCR != 0 {
+		t.Errorf("generated dataset should be conflict-free, got %d not-CR", sum.NotCR)
+	}
+	if sum.WithCandidates == 0 {
+		t.Errorf("expected some top-k-filled entities: %s", sum.String())
+	}
+}
+
+// TestResolveRunPaperExample: the paper's four Michael Jordan tuples,
+// resolved alongside a second planted entity, settle on the paper's
+// target.
+func TestResolveRunPaperExample(t *testing.T) {
+	schema := paperdata.StatSchema()
+	var tuples []*model.Tuple
+	for _, tp := range paperdata.Stat().Tuples() {
+		nt := model.NewTuple(schema)
+		for a := 0; a < schema.Arity(); a++ {
+			nt.SetAt(a, tp.At(a))
+		}
+		tuples = append(tuples, nt)
+	}
+	// A second entity: Scottie Pippen, two consistent tuples.
+	null := model.NullValue()
+	tuples = append(tuples,
+		model.MustTuple(schema, model.S("Scottie"), null, model.S("Pippen"),
+			model.I(10), model.I(170), model.I(33), model.S("NBA"),
+			model.S("Chicago Bulls"), model.S("United Center")),
+		model.MustTuple(schema, model.S("Scottie"), null, model.S("Pippen"),
+			model.I(20), model.I(350), model.I(33), model.S("NBA"),
+			model.S("Chicago Bulls"), model.S("United Center")),
+	)
+	im := paperdata.NBA()
+	rules, err := rule.NewSet(schema, im.Schema(), paperdata.Rules()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := er.Resolve(tuples, schema, er.Config{KeyAttrs: []string{"LN"}, Threshold: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// t1 carries LN = null, which never matches the ER key, so it may
+	// form its own cluster: 2 or 3 entities are both legitimate.
+	if len(ents) < 2 || len(ents) > 3 {
+		t.Fatalf("entities = %d, want 2 or 3", len(ents))
+	}
+	results, _, err := Run(ents, Config{Master: im, Rules: rules, TopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range results {
+		f := settledTarget(r)
+		if f == nil {
+			continue
+		}
+		if f.EqualTo(paperdata.Target()) {
+			return
+		}
+		got = append(got, f.String())
+	}
+	t.Errorf("paper target not among settled targets: %v", got)
+}
+
+// TestResolveRunNotCRSettlesNothing: an entity whose rules conflict is
+// reported with its conflict and settles on no target, even with top-k
+// filling requested.
+func TestResolveRunNotCRSettlesNothing(t *testing.T) {
+	s := model.MustSchema("r", "id", "v")
+	rules, err := core.ParseRules(`
+		up:   t1[v] < t2[v] -> t1 <= t2 @ v
+		down: t1[v] > t2[v] -> t1 <= t2 @ v
+	`, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := er.Resolve([]*model.Tuple{
+		model.MustTuple(s, model.S("e1"), model.I(1)),
+		model.MustTuple(s, model.S("e1"), model.I(2)),
+	}, s, er.Config{KeyAttrs: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, sum, err := Run(ents, Config{Rules: rules, TopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || sum.NotCR != 1 {
+		t.Fatalf("results = %d, summary %+v; want one not-CR entity", len(results), sum)
+	}
+	r := results[0]
+	if r.Status() != "not-church-rosser" || r.Deduction.Conflict == "" {
+		t.Errorf("want not-church-rosser with conflict, got %s %q", r.Status(), r.Deduction.Conflict)
+	}
+	if f := settledTarget(r); f != nil || len(r.Candidates) != 0 {
+		t.Errorf("not-CR entity settled on %v with %d candidates", f, len(r.Candidates))
 	}
 }

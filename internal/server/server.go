@@ -55,6 +55,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
+	"repro/internal/topk"
 	"repro/internal/wal"
 )
 
@@ -423,7 +424,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	algo := pipeline.AlgoTopKCT
 	if aq := r.URL.Query().Get("algo"); aq != "" {
-		a, err := pipeline.ParseAlgorithm(aq)
+		a, err := topk.ParseAlgorithm(aq)
 		if err != nil {
 			s.error(w, http.StatusBadRequest,
 				fmt.Sprintf("unknown algo %q (want topkct, rankjoin or topkcth)", aq))

@@ -399,3 +399,34 @@ func TestMonotoneScores(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSearchDispatch: ParseAlgorithm maps every wire name, and Search
+// runs exactly the algorithm it is handed.
+func TestSearchDispatch(t *testing.T) {
+	g, te := example9Grounding(t)
+	pref := topk.Preference{K: 2}
+	for _, c := range []struct {
+		name string
+		run  func(*chase.Grounding, *model.Tuple, topk.Preference) ([]topk.Candidate, topk.Stats, error)
+	}{
+		{"topkct", topk.TopKCT},
+		{"rankjoin", topk.RankJoinCT},
+		{"topkcth", topk.TopKCTh},
+	} {
+		algo, err := topk.ParseAlgorithm(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gs, err := topk.Search(g, te, pref, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ws, _ := c.run(g, te, pref)
+		if fmt.Sprint(got, gs) != fmt.Sprint(want, ws) {
+			t.Errorf("%s: Search = %v %+v, want %v %+v", c.name, got, gs, want, ws)
+		}
+	}
+	if _, err := topk.ParseAlgorithm("bogus"); err == nil {
+		t.Error("unknown algorithm name accepted")
+	}
+}

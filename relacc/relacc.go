@@ -62,6 +62,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/rule"
 	"repro/internal/server"
+	"repro/internal/topk"
 	"repro/internal/wal"
 )
 
@@ -293,7 +294,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // "topkcth") — what cmd flags and relaccd query parameters carry — to
 // its Algorithm value.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	return pipeline.ParseAlgorithm(name)
+	return topk.ParseAlgorithm(name)
 }
 
 // Serving layer, re-exported from internal/server.
