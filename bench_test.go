@@ -306,10 +306,11 @@ func BenchmarkCheckPaper(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKCTParallel compares sequential TopKCT with speculative
-// parallel verification (Preference.Parallel) on the Fig 6(i) workload
-// at k = 15. The candidate lists are identical; the speed-up tracks
-// GOMAXPROCS. Cache-disabled grounding, for the same reason as
+// BenchmarkTopKCTParallel runs TopKCT's one check driver at width 1
+// (one check at a time, the sequential run) and at GOMAXPROCS
+// (speculative parallel verification, Preference.Parallel) on the
+// Fig 6(i) workload at k = 15. The candidate lists are identical; the
+// speed-up tracks GOMAXPROCS. Cache-disabled grounding, for the same reason as
 // BenchmarkCheckPooled: with the cache on, iterations after the first
 // verify every candidate by lookup and the parallelism has nothing
 // left to hide.

@@ -176,21 +176,18 @@ func main() {
 		if *candPath == "" {
 			fatal(fmt.Errorf("-candidate is required for check"))
 		}
-		_, tuples, err := csvio.ReadRelationFile(*candPath)
+		candSchema, tuples, err := csvio.ReadRelationFile(*candPath)
 		if err != nil {
 			fatal(err)
 		}
 		if len(tuples) != 1 {
 			fatal(fmt.Errorf("candidate file must hold exactly one tuple, got %d", len(tuples)))
 		}
-		// Rebuild the candidate over the instance schema by attribute name.
-		cand := model.NewTuple(ie.Schema())
-		for _, a := range tuples[0].Schema().Attrs() {
-			if v, ok := tuples[0].Get(a); ok {
-				cand.Set(a, v)
-			}
+		tuples, err = remapTuples(tuples, candSchema, ie.Schema())
+		if err != nil {
+			fatal(fmt.Errorf("candidate: %w", err))
 		}
-		if sess.Check(cand) {
+		if sess.Check(tuples[0]) {
 			fmt.Println("candidate PASSES the chase check")
 		} else {
 			fmt.Println("candidate FAILS the chase check")
@@ -496,7 +493,7 @@ func applyDelta(u *pipeline.Updater, schema *model.Schema, a appendArgs) {
 	}
 	deltaTuples, err = remapTuples(deltaTuples, deltaSchema, schema)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("delta: %w", err))
 	}
 	deltaUps, deltaLabels, err := groupUpdates(deltaTuples, schema, a.by)
 	if err != nil {
@@ -639,18 +636,21 @@ func groupUpdates(tuples []*model.Tuple, schema *model.Schema, by string) ([]pip
 		func(v model.Value) (string, error) { return v.Key(), nil })
 }
 
-// remapTuples rebuilds tuples read under one schema object onto the
-// base schema (schemas match by pointer identity everywhere else, and
-// the delta CSV necessarily parses into its own schema object). The
+// remapTuples rebuilds tuples read under one schema object onto
+// another by attribute name (schemas match by pointer identity
+// everywhere else, and a second CSV — append's delta, check's
+// candidate — necessarily parses into its own schema object). The
 // column sets must agree; order may differ.
 func remapTuples(tuples []*model.Tuple, from, to *model.Schema) ([]*model.Tuple, error) {
 	for _, attr := range from.Attrs() {
 		if to.Index(attr) < 0 {
-			return nil, fmt.Errorf("delta column %q is not in the base relation", attr)
+			return nil, fmt.Errorf("column %q is not in the relation", attr)
 		}
 	}
-	if from.Arity() != to.Arity() {
-		return nil, fmt.Errorf("delta has %d columns, base has %d", from.Arity(), to.Arity())
+	for _, attr := range to.Attrs() {
+		if from.Index(attr) < 0 {
+			return nil, fmt.Errorf("column %q is missing", attr)
+		}
 	}
 	out := make([]*model.Tuple, len(tuples))
 	for i, t := range tuples {

@@ -396,3 +396,40 @@ func TestBatchKeyGrouping(t *testing.T) {
 		t.Fatalf("summary: %q", lines)
 	}
 }
+
+// TestCheckCandidateColumns: check rebuilds the candidate over the
+// instance schema by column name, so a candidate whose header names an
+// unknown column, or lacks one, is rejected with the column named —
+// never checked with that attribute silently null — while a correct
+// candidate keeps its verdict.
+func TestCheckCandidateColumns(t *testing.T) {
+	bin := buildRelacc(t)
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "instance.csv"), []byte(
+		"id,league,rnds,jersey\nm1,east,30,45\nm1,east,80,23\n"))
+	writeFile(t, filepath.Join(dir, "rules.txt"), []byte(
+		"phi1: t1[league] = t2[league] , t1[rnds] < t2[rnds] -> t1 <= t2 @ rnds\n"+
+			"phi2: t1 < t2 @ rnds -> t1 <= t2 @ jersey\n"))
+	for _, tc := range []struct {
+		name, candidate, want string
+	}{
+		{"correct", "id,league,rnds,jersey\nm1,east,80,45\n", "candidate FAILS the chase check"},
+		{"typo", "id,league,rnds,jersy\nm1,east,80,45\n", `column "jersy" is not in the relation`},
+		{"missing", "id,league,rnds\nm1,east,80\n", `column "jersey" is missing`},
+	} {
+		cand := filepath.Join(dir, tc.name+".csv")
+		writeFile(t, cand, []byte(tc.candidate))
+		var out bytes.Buffer
+		cmd := exec.Command(bin, "check", "-data", filepath.Join(dir, "instance.csv"),
+			"-rules", filepath.Join(dir, "rules.txt"), "-candidate", cand)
+		cmd.Stdout, cmd.Stderr = &out, &out
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("%s: err = %v, want a non-zero exit\n%s", tc.name, err, out.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%s: output %q does not contain %q", tc.name, out.String(), tc.want)
+		}
+	}
+}

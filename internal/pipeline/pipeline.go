@@ -59,7 +59,8 @@ type Config struct {
 	Algo Algorithm
 	// Pref refines the preference model (weights, domains, check
 	// budget). Pref.Parallel is ignored: the pipeline parallelises
-	// across entities, not within one entity's search.
+	// across entities, and each entity's search runs the top-k check
+	// driver at width 1 — one check at a time, none speculated.
 	Pref topk.Preference
 	// Options configures the chase (e.g. DisableAxioms for bare-rule
 	// semantics, DisableVerdictCache to turn off check memoisation).

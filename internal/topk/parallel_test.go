@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/topk"
 )
 
@@ -139,5 +140,35 @@ func TestParallelMedEntities(t *testing.T) {
 		label := fmt.Sprintf("med entity %d", i)
 		sameCandidates(t, label, seq, par)
 		sameStats(t, label, seqStats, parStats)
+	}
+}
+
+// TestOneWorkerRunsNoSpeculativeCheck: at Parallel 0 and 1 every wave
+// of the check driver holds one candidate, so the chase checks a search
+// runs — the verdict cache's hits plus misses — are exactly the checks
+// its Stats report, with none speculated past the k-th pass.
+func TestOneWorkerRunsNoSpeculativeCheck(t *testing.T) {
+	g, res := synProblem(t, 80, 40, 40)
+	algos := []struct {
+		name string
+		run  func(*chase.Grounding, *model.Tuple, topk.Preference) ([]topk.Candidate, topk.Stats, error)
+	}{
+		{"TopKCT", topk.TopKCT},
+		{"RankJoinCT", topk.RankJoinCT},
+		{"TopKCTh", topk.TopKCTh},
+	}
+	for _, par := range []int{0, 1} {
+		for _, a := range algos {
+			before := g.VerdictCacheStats()
+			_, stats, err := a.run(g, res.Target, topk.Preference{K: 5, Parallel: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := g.VerdictCacheStats()
+			ran := after.Hits - before.Hits + after.Misses - before.Misses
+			if stats.Checks == 0 || ran != int64(stats.Checks) {
+				t.Errorf("%s par=%d: ran %d checks, Stats report %d", a.name, par, ran, stats.Checks)
+			}
+		}
 	}
 }

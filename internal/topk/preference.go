@@ -14,6 +14,8 @@
 package topk
 
 import (
+	"fmt"
+
 	"repro/internal/chase"
 	"repro/internal/model"
 )
@@ -49,11 +51,13 @@ type Preference struct {
 	// contribute thousands of candidate values per attribute.
 	MaxDomain int
 	// Parallel sets how many chase-based candidate checks run
-	// concurrently, each on a pooled engine: 0 or 1 means sequential,
+	// concurrently, each on a pooled engine: 0 or 1 means one worker,
 	// n > 1 uses n checker goroutines, and a negative value uses
-	// GOMAXPROCS. Parallel verification is speculative but exact: the
-	// candidate list, its order and the Stats counters are identical to
-	// the sequential run (see parallel.go).
+	// GOMAXPROCS. It sets only the width of the one check driver (see
+	// parallel.go): one worker checks candidates one at a time, in
+	// order, with no speculation; wider runs verify speculatively but
+	// exactly, so the candidate list, its order and the Stats counters
+	// are the same at every width.
 	Parallel int
 }
 
@@ -130,8 +134,11 @@ type problem struct {
 
 // newProblem derives the search space: the null attributes Z of te and
 // their ranked value lists, every list value pre-interned in the
-// grounding's dictionary.
-func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
+// grounding's dictionary. It rejects a non-positive K.
+func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) (*problem, error) {
+	if pref.K <= 0 {
+		return nil, fmt.Errorf("topk: k must be positive, got %d", pref.K)
+	}
 	p := &problem{g: g, te: te, pref: pref, pool: g.Pool(), dict: g.Dict()}
 	// Intern the deduced target once (on a clone, so the caller's tuple
 	// is not touched): candidates are assembled from clones of p.te, so
@@ -180,7 +187,7 @@ func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
 		p.zAttr = append(p.zAttr, a)
 		p.lists = append(p.lists, list)
 	}
-	return p
+	return p, nil
 }
 
 // sortScored orders by descending weight, ties broken by value key for
@@ -225,19 +232,6 @@ func (p *problem) assemble(zv []scoredValue) *model.Tuple {
 		t.SetAtID(a, zv[i].v, p.dict, zv[i].id)
 	}
 	return t
-}
-
-// check verifies a candidate via the chase (Section 6.1): the revised
-// specification with t as the initial template must be Church-Rosser.
-// It runs on a pooled engine, so a check allocates no engine state.
-func (p *problem) check(t *model.Tuple) bool {
-	p.stats.Checks++
-	return p.pool.Check(t)
-}
-
-// exhausted reports whether the check budget has been spent.
-func (p *problem) exhausted() bool {
-	return p.pref.MaxChecks > 0 && p.stats.Checks >= p.pref.MaxChecks
 }
 
 // zKey identifies a Z-assignment for duplicate suppression and as the

@@ -40,10 +40,9 @@ func RankJoinCT(g *chase.Grounding, te *model.Tuple, pref Preference) ([]Candida
 
 // RankJoinCTOpts is RankJoinCT with explicit resource bounds.
 func RankJoinCTOpts(g *chase.Grounding, te *model.Tuple, pref Preference, opts RankJoinOptions) ([]Candidate, Stats, error) {
-	p := newProblem(g, te, pref)
-	k := pref.K
-	if k <= 0 {
-		return nil, p.stats, fmt.Errorf("topk: k must be positive, got %d", k)
+	p, err := newProblem(g, te, pref)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	maxGen := opts.MaxGenerated
 	if maxGen < 0 {
@@ -55,10 +54,8 @@ func RankJoinCTOpts(g *chase.Grounding, te *model.Tuple, pref Preference, opts R
 	m := len(p.zAttr)
 	base := p.baseScore()
 	if m == 0 {
-		if p.check(p.te) {
-			return []Candidate{{Tuple: p.te.Clone(), Score: base}}, p.stats, nil
-		}
-		return nil, p.stats, nil
+		cands, err := p.search(pref.K, p.single())
+		return cands, p.stats, err
 	}
 	for i, l := range p.lists {
 		if len(l) == 0 {
@@ -146,11 +143,11 @@ func RankJoinCTOpts(g *chase.Grounding, te *model.Tuple, pref Preference, opts R
 		return nil, p.stats, err
 	}
 
-	// nextEmit yields the next combination the sequential loop would
-	// check: buffered combinations beating the current threshold, with
-	// the round-robin lists advanced (and re-joined) in between. The
-	// emission order does not depend on check verdicts, so it forms a
-	// verdict-independent check stream (see parallel.go).
+	// nextEmit yields the next combination to check: buffered
+	// combinations beating the current threshold, with the round-robin
+	// lists advanced (and re-joined) in between. The emission order does
+	// not depend on check verdicts, so it forms a verdict-independent
+	// check stream (see parallel.go).
 	next := 0
 	emitTau, emitMore := 0.0, false
 	emitting := false
@@ -197,36 +194,6 @@ func RankJoinCTOpts(g *chase.Grounding, te *model.Tuple, pref Preference, opts R
 		}
 	}
 
-	if p.parallelism() > 1 {
-		budget, ok := p.remainingBudget()
-		if !ok {
-			return nil, p.stats, nil
-		}
-		oc := runStream(p.pool, p.parallelism(), budget, k,
-			checkEvent{pops: p.stats.Pops, generated: p.stats.Generated}, nextEmit)
-		p.stats.Checks += oc.checks
-		if oc.cut {
-			p.stats.Pops, p.stats.Generated = oc.pops, oc.generated
-		}
-		out := make([]Candidate, 0, len(oc.passes))
-		for _, ev := range oc.passes {
-			out = append(out, Candidate{Tuple: ev.t, Score: ev.score})
-		}
-		return out, p.stats, oc.err
-	}
-
-	var out []Candidate
-	for len(out) < k && !p.exhausted() {
-		ev, ok, err := nextEmit()
-		if err != nil {
-			return out, p.stats, err
-		}
-		if !ok {
-			break
-		}
-		if p.check(ev.t) {
-			out = append(out, Candidate{Tuple: ev.t, Score: ev.score})
-		}
-	}
-	return out, p.stats, nil
+	cands, err := p.search(pref.K, nextEmit)
+	return cands, p.stats, err
 }

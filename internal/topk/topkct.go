@@ -21,26 +21,27 @@ import (
 // non-null attributes are fixed in every candidate. The returned
 // candidates are in non-increasing score order.
 func TopKCT(g *chase.Grounding, te *model.Tuple, pref Preference) ([]Candidate, Stats, error) {
-	p := newProblem(g, te, pref)
-	cands, err := topkSearch(p, pref.K, true)
+	p, err := newProblem(g, te, pref)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	next, err := p.latticeStream()
+	if err != nil {
+		return nil, p.stats, err
+	}
+	cands, err := p.search(pref.K, next)
 	return cands, p.stats, err
 }
 
-// topkSearch runs the Fig. 5 enumeration; withCheck false skips the
-// candidate verification (used by TopKCTh's first phase).
-func topkSearch(p *problem, k int, withCheck bool) ([]Candidate, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("topk: k must be positive, got %d", k)
-	}
+// latticeStream builds the Fig. 5 enumeration as a check stream: it
+// yields assignments in non-increasing score order, and a complete te
+// as its own single candidate.
+func (p *problem) latticeStream() (func() (checkEvent, bool, error), error) {
 	m := len(p.zAttr)
-	base := p.baseScore()
 	if m == 0 {
-		// te is already complete; it is its own single candidate.
-		if !withCheck || p.check(p.te) {
-			return []Candidate{{Tuple: p.te.Clone(), Score: base}}, nil
-		}
-		return nil, nil
+		return p.single(), nil
 	}
+	base := p.baseScore()
 
 	// Build the heaps H1..Hm and pop the top value of each into the
 	// buffers (Fig. 5 line 2).
@@ -104,36 +105,7 @@ func topkSearch(p *problem, k int, withCheck bool) ([]Candidate, error) {
 		}
 		return checkEvent{t: t, score: o.w, pops: p.stats.Pops, generated: p.stats.Generated}, true, nil
 	}
-
-	if withCheck && p.parallelism() > 1 {
-		budget, ok := p.remainingBudget()
-		if !ok {
-			return nil, nil
-		}
-		oc := runStream(p.pool, p.parallelism(), budget, k,
-			checkEvent{pops: p.stats.Pops, generated: p.stats.Generated}, next)
-		p.stats.Checks += oc.checks
-		if oc.cut {
-			p.stats.Pops, p.stats.Generated = oc.pops, oc.generated
-		}
-		out := make([]Candidate, 0, len(oc.passes))
-		for _, ev := range oc.passes {
-			out = append(out, Candidate{Tuple: ev.t, Score: ev.score})
-		}
-		return out, nil
-	}
-
-	var out []Candidate
-	for len(out) < k && !p.exhausted() {
-		ev, ok, _ := next()
-		if !ok {
-			break
-		}
-		if !withCheck || p.check(ev.t) {
-			out = append(out, Candidate{Tuple: ev.t, Score: ev.score})
-		}
-	}
-	return out, nil
+	return next, nil
 }
 
 // TopKCTh is the PTIME heuristic of Section 6.3: it first enumerates the
@@ -145,18 +117,30 @@ func topkSearch(p *problem, k int, withCheck bool) ([]Candidate, error) {
 // necessarily the k highest-scoring ones (the cost/quality trade-off the
 // paper describes).
 func TopKCTh(g *chase.Grounding, te *model.Tuple, pref Preference) ([]Candidate, Stats, error) {
-	p := newProblem(g, te, pref)
-	raw, err := topkSearch(p, pref.K, false)
+	p, err := newProblem(g, te, pref)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	next, err := p.latticeStream()
 	if err != nil {
 		return nil, p.stats, err
 	}
-	var out []Candidate
-	dedup := map[string]bool{}
-	for _, c := range raw {
-		if p.exhausted() {
+	// Phase 1: the k best assignments, unverified.
+	var raw []*model.Tuple
+	for len(raw) < pref.K {
+		ev, ok, _ := next()
+		if !ok {
 			break
 		}
-		t, ok := p.repair(c.Tuple)
+		raw = append(raw, ev.t)
+	}
+	var out []Candidate
+	dedup := map[string]bool{}
+	for _, r := range raw {
+		if !p.remainingBudget() {
+			break
+		}
+		t, ok := p.repair(r)
 		if !ok {
 			continue
 		}
@@ -202,44 +186,11 @@ func (p *problem) score(t *model.Tuple) float64 {
 // attribute takes the first value (t's own value first, then the ranked
 // list) whose partial template passes the chase check. The final step
 // checks the complete tuple, so success implies candidacy.
-//
-// With Parallel > 1 the per-attribute value probes are verified
-// speculatively in batches: the chosen value — the first passing one in
-// sequence order — and the check count are identical to the sequential
-// run.
 func (p *problem) repair(t *model.Tuple) (*model.Tuple, bool) {
 	partial := p.te.Clone()
-	par := p.parallelism()
 	for i, a := range p.zAttr {
-		if par > 1 {
-			if !p.repairAttrParallel(partial, t, i, a, par) {
-				return nil, false
-			}
-			continue
-		}
-		fixed := false
-		tryValue := func(v model.Value, id uint32) bool {
-			partial.SetAtID(a, v, p.dict, id)
-			if p.check(partial) {
-				return true
-			}
-			partial.SetAt(a, model.NullValue())
-			return false
-		}
-		ownID := p.idOf(t, a)
-		if tryValue(t.At(a), ownID) {
-			continue
-		}
-		for _, sv := range p.lists[i] {
-			if sv.id == ownID {
-				continue
-			}
-			if tryValue(sv.v, sv.id) {
-				fixed = true
-				break
-			}
-		}
-		if !fixed {
+		var ok bool
+		if partial, ok = p.repairAttr(partial, t, i, a); !ok {
 			return nil, false
 		}
 	}
@@ -262,10 +213,11 @@ func (p *problem) idOf(t *model.Tuple, a int) uint32 {
 	return model.NoID
 }
 
-// repairAttrParallel fixes attribute a of partial by probing the value
-// sequence (t's own value first, then the ranked list) through the
-// speculative stream driver, stopping at the first pass.
-func (p *problem) repairAttrParallel(partial, t *model.Tuple, i, a, par int) bool {
+// repairAttr fixes attribute a, the i-th Z attribute, of partial by
+// probing the value sequence (t's own value first, then the ranked
+// list) through the check driver, stopping at the first pass. It
+// returns partial with that value set, or false when no value passes.
+func (p *problem) repairAttr(partial, t *model.Tuple, i, a int) (*model.Tuple, bool) {
 	own := t.At(a)
 	ownID := p.idOf(t, a)
 	li := -1 // -1 = own value, then ranked-list positions
@@ -284,7 +236,7 @@ func (p *problem) repairAttrParallel(partial, t *model.Tuple, i, a, par int) boo
 				v, id = sv.v, sv.id
 				li++
 				if id == ownID {
-					continue // sequential order probes the own value only once
+					continue // the own value is probed only once
 				}
 			}
 			cand := partial.Clone()
@@ -292,12 +244,10 @@ func (p *problem) repairAttrParallel(partial, t *model.Tuple, i, a, par int) boo
 			return checkEvent{t: cand}, true, nil
 		}
 	}
-	oc := runStream(p.pool, par, 0, 1, checkEvent{}, next)
+	oc := runStream(p.pool, p.parallelism(), 0, 1, checkEvent{}, next)
 	p.stats.Checks += oc.checks
 	if len(oc.passes) == 0 {
-		return false
+		return nil, false
 	}
-	chosen := oc.passes[0].t
-	partial.SetAtID(a, chosen.At(a), p.dict, p.idOf(chosen, a))
-	return true
+	return oc.passes[0].t, true
 }
