@@ -32,17 +32,19 @@
 //
 // # Performance
 //
-// NewGrounding performs the paper's Instantiation preprocessing once: it
-// partially evaluates every rule on every tuple pair (and every master
-// tuple), materialising only steps with unresolved premises, indexed by
-// the facts that complete them (the structure H of Section 5, with
-// counters nφ and trigger sets Φδ). Rules whose body is a single order
-// predicate plus value comparisons — the common "correlated attribute"
-// shape like ϕ2, ϕ4, ϕ5 — are compiled to attribute-level propagation
-// triggers instead of n² ground steps. All template-independent
-// consequences are chased once into a base state, so each Run only
-// replays template-dependent work; this is what makes the thousands of
-// candidate checks issued by the top-k algorithms affordable.
+// NewShared classifies Σ once per schema: rules whose body is a single
+// order predicate plus value comparisons — the common "correlated
+// attribute" shape like ϕ2, ϕ4, ϕ5 — are compiled to attribute-level
+// propagation triggers instead of n² ground steps, and form-(2) rules
+// to a master-row index. NewGrounding then performs the paper's
+// Instantiation preprocessing once: it partially evaluates the
+// remaining form-(1) rules on every tuple pair, materialising only
+// steps with unresolved premises, indexed by the facts that complete
+// them (the structure H of Section 5, with counters nφ and trigger sets
+// Φδ). All template-independent consequences are chased once into a
+// base state, so each Run only replays template-dependent work; this
+// is what makes the thousands of candidate checks issued by the top-k
+// algorithms affordable.
 //
 // Values are dictionary-encoded: a schema-scoped model.Dict (owned by
 // the Shared groundwork, so a whole batch shares it) interns every
@@ -81,9 +83,12 @@
 // only new steps and newly enforceable old steps replay), and returns
 // a NEW immutable grounding version. Immutability is per version:
 // in-flight checkers keep reading the old version; the new one shares
-// the old step prefix and trigger layers. Every Run, check and top-k
-// answer of an extended grounding is byte-identical to a fresh
-// grounding over the full instance (extend_test.go).
+// the old step prefix and trigger layers. A fresh grounding is version
+// 0 of the same builder, grown from the Shared's zero-tuple root; the
+// only branches on an empty parent are the bulk axiom seed (instead of
+// one worklist event per seed) and a dense ground-pair set. Every Run,
+// check and top-k answer of an extended grounding is byte-identical to
+// a fresh grounding over the full instance (extend_test.go).
 package chase
 
 import (
@@ -301,7 +306,6 @@ type corrRule struct {
 type Grounding struct {
 	ie        *model.EntityInstance
 	im        *model.MasterRelation
-	rules     *rule.Set
 	schema    *model.Schema
 	n         int // |Ie|
 	nattr     int
@@ -323,7 +327,12 @@ type Grounding struct {
 	steps      []groundStep
 	orderTrig  map[uint64][]predRef
 	targetTrig [][]predRef // [attr] -> premises te[attr] op v (form-1 only)
-	corrs      [][]corrRule
+	// Σ as classified once by NewShared and shared by every version:
+	// form1 lists the form-(1) rules Instantiation grounds, and
+	// corrs[attr] the correlation-shaped ones compiled to triggers on
+	// attr's derived pairs.
+	form1 []*rule.Form1
+	corrs [][]corrRule
 
 	// Form-(2) rules are grounded lazily: each (rule, master row) pair
 	// waits on its first unmet condition, indexed by (attr, value key);
@@ -343,7 +352,7 @@ type Grounding struct {
 	// ancestors holds the trigger layers of earlier versions of this
 	// grounding (oldest first; empty for a fresh grounding). An
 	// extended version shares its ancestors' immutable trigger maps,
-	// the step prefix, the correlation rules and the form-(2) index,
+	// the step prefix, the classified rules and the form-(2) index,
 	// and registers only its delta steps' premises in its own
 	// orderTrig/targetTrig — deliberately NOT a pointer to the parent
 	// grounding, so a long update stream does not pin every old
@@ -549,62 +558,6 @@ func (gr *idGroups) extend(ids []uint32, oldN int) idGroups {
 	return out
 }
 
-// buildGroups groups tuple indices by their value ID. All member
-// slices share one backing array; members within a group are in
-// ascending tuple order.
-func buildGroups(ids []uint32) idGroups {
-	idx := make([]int32, 0, len(ids))
-	for i, id := range ids {
-		if id != model.NullID {
-			idx = append(idx, int32(i))
-		}
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		a, b := ids[idx[x]], ids[idx[y]]
-		if a != b {
-			return a < b
-		}
-		return idx[x] < idx[y]
-	})
-	var out idGroups
-	for start := 0; start < len(idx); {
-		id := ids[idx[start]]
-		end := start
-		for end < len(idx) && ids[idx[end]] == id {
-			end++
-		}
-		out.ids = append(out.ids, id)
-		out.members = append(out.members, idx[start:end:end])
-		start = end
-	}
-	return out
-}
-
-// indexValues builds the per-attribute value/ID indexes and position
-// groups during construction.
-//
-//relacc:grounding-builder
-func (g *Grounding) indexValues() {
-	n, na := g.n, g.nattr
-	g.valID = make([][]uint32, na)
-	g.vals = make([][]model.Value, na)
-	g.groups = make([]idGroups, na)
-	g.targetTrig = make([][]predRef, na)
-	g.corrs = make([][]corrRule, na)
-	for a := 0; a < na; a++ {
-		g.valID[a] = make([]uint32, n)
-		g.vals[a] = make([]model.Value, n)
-		for i := 0; i < n; i++ {
-			v := g.ie.Value(i, a)
-			g.vals[a][i] = v
-			if !v.IsNull() {
-				g.valID[a][i] = g.dict.Intern(v)
-			}
-		}
-		g.groups[a] = buildGroups(g.valID[a])
-	}
-}
-
 // groupFor returns the tuple indices whose attr value has dictionary
 // ID id (the ϕ8/ϕ9 equality class of that value).
 func (g *Grounding) groupFor(attr int32, id uint32) []int32 {
@@ -623,37 +576,11 @@ type packedPair struct {
 	attr, i, j int32
 }
 
-// ground performs Instantiation: it materialises residual ground steps,
-// registers triggers and correlation rules, and returns the
-// zero-premise order pairs to seed the base chase with. Zero pairs are
-// deduplicated across rules (rule sets often contain several rules with
-// the same consequence, per the paper's Exp setup), which bounds their
-// number by #attrs·|Ie|².
-//
-//relacc:grounding-builder
-func (g *Grounding) ground() []packedPair {
-	var zero []packedPair
-	seen := newPairSet(g.nattr, g.n)
-	for _, r := range g.rules.Rules() {
-		switch f := r.(type) {
-		case *rule.Form1:
-			if cr, ok := g.compileCorr(f); ok {
-				g.corrs[cr.fromAttr] = append(g.corrs[cr.fromAttr], cr)
-				continue
-			}
-			zero = g.groundForm1(f, zero, seen, 0)
-		case *rule.Form2:
-			// Handled by the shared form2Index.
-		}
-	}
-	return zero
-}
-
 // pairSet is a set of (attr, i, j) triples: a dense bitset when built
-// with newPairSet (full Instantiation visits most triples), a map when
-// built with newSparsePairSet (delta Instantiation visits only pairs
-// involving new tuples, far fewer than attrs·n² — a dense set would
-// spend more time zeroing than grounding).
+// with newPairSet (Instantiation over a zero-tuple parent visits most
+// triples), a map when built with newSparsePairSet (over a populated
+// parent it visits only pairs involving new tuples, far fewer than
+// attrs·n² — a dense set would spend more time zeroing than grounding).
 type pairSet struct {
 	n      int
 	bits   []uint64
@@ -690,7 +617,7 @@ func (ps *pairSet) insert(attr, i, j int32) bool {
 // compileCorr recognises the correlated-attribute rule shape: exactly
 // one order predicate, no target references, and any number of
 // tuple/constant comparisons.
-func (g *Grounding) compileCorr(f *rule.Form1) (corrRule, bool) {
+func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
 	var orderPreds []rule.Pred
 	var extra []rule.Pred
 	for _, p := range f.LHS {
@@ -710,8 +637,8 @@ func (g *Grounding) compileCorr(f *rule.Form1) (corrRule, bool) {
 	op := orderPreds[0]
 	return corrRule{
 		ruleName: f.RuleName,
-		fromAttr: int32(g.schema.Index(op.Attr)),
-		toAttr:   int32(g.schema.Index(f.RHS)),
+		fromAttr: int32(schema.Index(op.Attr)),
+		toAttr:   int32(schema.Index(f.RHS)),
 		strict:   op.Strict,
 		extra:    extra,
 	}, true
@@ -758,9 +685,9 @@ func (g *Grounding) operandID(o rule.Operand, i, j int32) uint32 {
 }
 
 // groundForm1 materialises the ground steps of one form-(1) rule. Only
-// pairs (i, j) with i >= oldN or j >= oldN are visited: a fresh
-// grounding passes oldN == 0 (all pairs), while delta Instantiation
-// passes the previous instance size so the work is the new-tuple ×
+// pairs (i, j) with i >= oldN or j >= oldN are visited, oldN being the
+// parent version's size: a fresh grounding grows from the zero-tuple
+// root and visits all pairs, while an Extend visits the new-tuple ×
 // existing-tuple and new-tuple × new-tuple pairs — O(‖Σ‖·d·n) for d
 // added tuples instead of the full O(‖Σ‖·n²) rebuild.
 func (g *Grounding) groundForm1(f *rule.Form1, zero []packedPair, seen *pairSet, oldN int32) []packedPair {
@@ -974,75 +901,6 @@ func (g *Grounding) addStep(st groundStep) {
 			g.targetTrig[p.attr] = append(g.targetTrig[p.attr], ref)
 		}
 	}
-}
-
-// baseChase builds the initial axiom state and chases every
-// template-independent consequence (zero-premise pairs, order-triggered
-// steps, correlation cascades) into the base snapshot reused by Run.
-func (g *Grounding) baseChase(zeroPairs []packedPair) {
-	e := newEngine(g, true)
-	// Seed the axiom state ϕ7 + ϕ9.
-	if g.useAxioms {
-		for a := 0; a < g.nattr; a++ {
-			rel := e.orders.Attr(a)
-			var nulls, nonNulls []int32
-			for i := 0; i < g.n; i++ {
-				if g.valID[a][i] == model.NullID {
-					nulls = append(nulls, int32(i))
-				} else {
-					nonNulls = append(nonNulls, int32(i))
-				}
-			}
-			for _, grp := range g.sortedGroups(a) {
-				rel.SetClique32(grp)
-			}
-			rel.SetClique32(nulls)
-			rel.SetBelow32(nulls, nonNulls)
-		}
-	}
-	// Derive column counts of the seeded state, reusing one buffer
-	// across the attributes.
-	cbuf := make([]int, g.n)
-	for a := 0; a < g.nattr; a++ {
-		for j, c := range e.orders.Attr(a).ColumnCountsInto(cbuf) {
-			e.counts[a][j] = int32(c)
-		}
-	}
-	// Fire order triggers already satisfied by the seeded state, in
-	// deterministic key order.
-	keys := make([]uint64, 0, len(g.orderTrig))
-	for k := range g.orderTrig {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		attr, i, j := trigKeyDecode(k)
-		if e.orders.Attr(int(attr)).Has(int(i), int(j)) {
-			e.fireOrderKey(k)
-		}
-	}
-	// Fire correlation rules on the seeded pairs, one row word at a
-	// time.
-	for a := 0; a < g.nattr; a++ {
-		if len(g.corrs[a]) == 0 {
-			continue
-		}
-		aa := int32(a)
-		e.orders.Attr(a).VisitWords(func(i, wi int, diff uint64) {
-			e.fireCorrWord(aa, int32(i), wi, diff)
-		})
-	}
-	// Seed zero-premise pairs and already-complete order steps.
-	for _, p := range zeroPairs {
-		e.pushPair(p.attr, p.i, p.j)
-	}
-	for s := range g.steps {
-		if e.npred[s] == 0 && !g.steps[s].isTarget {
-			e.pushStep(int32(s))
-		}
-	}
-	e.drain()
-	g.snapshotBase(e)
 }
 
 // sortedGroups returns the value groups of attribute a in a

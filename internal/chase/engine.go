@@ -60,26 +60,6 @@ type engine struct {
 	stepsApplied int
 }
 
-// newEngine creates a fresh engine over empty orders (base mode).
-func newEngine(g *Grounding, base bool) *engine {
-	e := &engine{
-		g:      g,
-		base:   base,
-		orders: order.NewSet(g.nattr, g.n),
-		counts: make([][]int32, g.nattr),
-		npred:  make([]int32, len(g.steps)),
-		dead:   make([]bool, len(g.steps)),
-		pushed: make([]bool, len(g.steps)),
-	}
-	for a := range e.counts {
-		e.counts[a] = make([]int32, g.n)
-	}
-	for s := range g.steps {
-		e.npred[s] = int32(len(g.steps[s].preds))
-	}
-	return e
-}
-
 // newRunEngine creates an engine that continues from the grounding's
 // base snapshot. In pooled mode the engine's buffers survive drain()
 // and reset() restores the base state in time proportional to the rows

@@ -2,9 +2,10 @@ package chase
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/model"
-	"repro/internal/rule"
+	"repro/internal/vcache"
 )
 
 // Extend absorbs new evidence tuples into the grounded specification
@@ -31,12 +32,11 @@ import (
 // deduced targets, CR verdicts, terminal orders, step counts, top-k
 // candidates and stats are byte-identical (enforced by extend_test.go
 // and the core equivalence tests). The one deliberate exception is the
-// conflict WITNESS of a non-Church-Rosser specification: which invalid
-// step gets reported first depends on enforcement order, so the
-// Conflict string may name a different (equally valid) culprit than a
-// fresh grounding's.
-//
-//relacc:grounding-builder
+// conflict WITNESS of a non-Church-Rosser specification grown from a
+// non-empty parent: which invalid step gets reported first depends on
+// enforcement order, so the Conflict string may name a different
+// (equally valid) culprit than a fresh grounding's. A zero-tuple parent
+// replays the fresh grounding exactly, witness included.
 func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 	if len(tuples) == 0 {
 		return g, nil
@@ -45,47 +45,60 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chase: %w", err)
 	}
-	if ie2.Size() >= maxTuples {
-		return nil, fmt.Errorf("chase: instance would hold %d tuples, limit is %d",
-			ie2.Size(), maxTuples-1)
+	return g.grow(ie2, g.useAxioms, g.verdicts.NextVersion())
+}
+
+// grow builds the version of p over ie, which holds p's tuples followed
+// by the new ones. It is the one construction path: Shared.NewGrounding
+// grows version 0 from the zero-tuple root and Extend grows the next
+// version from its receiver. Freshness is read only off p's own state —
+// a zero-tuple parent has empty relations, so its child seeds the axioms
+// in bulk and grounds into a dense pair set, while a populated parent's
+// child runs every seed through the worklist and dedups sparsely.
+//
+//relacc:grounding-builder
+func (p *Grounding) grow(ie *model.EntityInstance, useAxioms bool, verdicts *vcache.Cache[string]) (*Grounding, error) {
+	if ie.Size() >= maxTuples {
+		return nil, fmt.Errorf("chase: instance holds %d tuples, limit is %d", ie.Size(), maxTuples-1)
 	}
 	ng := &Grounding{
-		ie:        ie2,
-		im:        g.im,
-		rules:     g.rules,
-		schema:    g.schema,
-		n:         ie2.Size(),
-		nattr:     g.nattr,
-		useAxioms: g.useAxioms,
-		// The dictionary is shared across versions: delta values are
+		ie:        ie,
+		im:        p.im,
+		schema:    p.schema,
+		n:         ie.Size(),
+		nattr:     p.nattr,
+		useAxioms: useAxioms,
+		// The dictionary is shared across versions: new values are
 		// interned into it (append-only, readers never blocked), so
 		// every ID the parent version issued — cached in candidate
 		// tuples, trigger premises, the form-(2) index — stays valid
 		// here. See the DESIGN.md invariant on ID stability.
-		dict: g.dict,
+		dict: p.dict,
 		// The step prefix is shared with the parent; the full slice
-		// expression forces the first delta step onto a fresh backing
+		// expression forces the first new step onto a fresh backing
 		// array instead of overwriting the parent's.
-		steps:     g.steps[:len(g.steps):len(g.steps)],
+		steps:     p.steps[:len(p.steps):len(p.steps)],
 		orderTrig: make(map[uint64][]predRef),
-		corrs:     g.corrs, // instance-independent; never mutated after grounding
-		form2:     g.form2,
-		// The verdict cache is version-private: the successor starts
+		// Instance-independent; never mutated after NewShared.
+		form1: p.form1,
+		corrs: p.corrs,
+		form2: p.form2,
+		// The verdict cache is version-private: a successor starts
 		// empty (old verdicts answer for the old evidence) but shares
 		// the chain's cumulative hit/miss counters. nil stays nil.
-		verdicts: g.verdicts.NextVersion(),
-		version:  g.version + 1,
+		verdicts: verdicts,
+		version:  p.version + 1,
 	}
 	// Stack the parent's trigger layers (sharing the maps, not the
 	// parent itself — its heavy state must stay collectable), then
 	// fold them together once the stack gets deep so lookup cost stays
 	// bounded on long update streams.
-	ng.ancestors = append([]trigLayer(nil), g.ancestors...)
-	if l, ok := g.ownLayer(); ok {
+	ng.ancestors = append([]trigLayer(nil), p.ancestors...)
+	if l, ok := p.ownLayer(); ok {
 		ng.ancestors = append(ng.ancestors, l)
 	}
-	ng.extendValues(g)
-	zero := ng.groundDelta(int32(g.n))
+	ng.extendValues(p)
+	zero := ng.groundDelta(int32(p.n))
 	if len(ng.ancestors) > maxTrigLayers {
 		ng.compactTriggers()
 	}
@@ -93,7 +106,7 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 	for _, l := range ng.ancestors {
 		ng.hasOrderTrig = ng.hasOrderTrig || len(l.orderTrig) > 0
 	}
-	ng.baseChaseDelta(g, zero)
+	ng.baseChase(p, zero)
 	return ng, nil
 }
 
@@ -140,9 +153,7 @@ func (g *Grounding) Version() int { return g.version }
 // dictionary, and the value groups extended copy-on-append — a group
 // gaining no member shares its slice with the parent, so the parent's
 // groups (which in-flight checkers on the old version may be reading)
-// never change. The old representation's per-extend map-of-Value copy,
-// which rehashed every distinct value and re-keyed every group, is
-// gone entirely.
+// never change.
 //
 //relacc:grounding-builder
 func (ng *Grounding) extendValues(p *Grounding) {
@@ -168,21 +179,24 @@ func (ng *Grounding) extendValues(p *Grounding) {
 	}
 }
 
-// groundDelta is Instantiation restricted to pairs involving a new
-// tuple. Correlation-shaped rules compile to instance-independent
-// triggers already shared with the parent, and form-(2) rules live in
-// the shared index, so only plain form-(1) rules ground new steps.
+// groundDelta performs Instantiation for the pairs involving a tuple at
+// index oldN or later: it materialises residual ground steps, registers
+// their triggers, and returns the zero-premise order pairs to seed the
+// base chase with. Correlation-shaped rules compile to
+// instance-independent triggers at NewShared, and form-(2) rules live
+// in the shared index, so only the plain form-(1) rules ground steps.
+// Zero pairs are deduplicated across rules (rule sets often contain
+// several rules with the same consequence, per the paper's Exp setup),
+// which bounds their number by #attrs·|Ie|².
 func (g *Grounding) groundDelta(oldN int32) []packedPair {
 	var zero []packedPair
-	seen := newSparsePairSet()
-	for _, r := range g.rules.Rules() {
-		f, ok := r.(*rule.Form1)
-		if !ok {
-			continue
-		}
-		if _, isCorr := g.compileCorr(f); isCorr {
-			continue
-		}
+	var seen *pairSet
+	if oldN == 0 {
+		seen = newPairSet(g.nattr, g.n)
+	} else {
+		seen = newSparsePairSet()
+	}
+	for _, f := range g.form1 {
 		zero = g.groundForm1(f, zero, seen, oldN)
 	}
 	return zero
@@ -215,17 +229,18 @@ func newDeltaEngine(ng, p *Grounding) *engine {
 	return e
 }
 
-// baseChaseDelta resumes the template-independent base chase from the
+// baseChase chases every template-independent consequence (axiom
+// seeds, zero-premise pairs, order-triggered steps, correlation
+// cascades) into the base snapshot reused by Run, resuming from the
 // parent's terminal state. Monotonicity is what makes resumption sound:
 // a chase step enforced by the parent stays enforced under more
-// evidence, so only the new tuples' axiom seeds, the delta ground steps
+// evidence, so only the new tuples' axiom seeds, the new ground steps
 // and old steps whose premises the new facts complete need replaying.
 // New facts propagate through the layered triggers into old steps, and
-// closure insertion may derive old×old pairs bridged by a new tuple —
-// both paths run through the same engine the fresh base chase uses.
+// closure insertion may derive old×old pairs bridged by a new tuple.
 //
 //relacc:grounding-builder
-func (ng *Grounding) baseChaseDelta(p *Grounding, zeroPairs []packedPair) {
+func (ng *Grounding) baseChase(p *Grounding, zeroPairs []packedPair) {
 	e := newDeltaEngine(ng, p)
 	if p.baseConflict != "" {
 		// The old evidence already made the base chase conflict; more
@@ -234,7 +249,9 @@ func (ng *Grounding) baseChaseDelta(p *Grounding, zeroPairs []packedPair) {
 		ng.baseConflict = p.baseConflict
 		return
 	}
-	if ng.useAxioms {
+	if p.n == 0 {
+		ng.seedEmpty(e)
+	} else if ng.useAxioms {
 		ng.seedDeltaAxioms(e, p.n)
 	}
 	for _, pr := range zeroPairs {
@@ -249,12 +266,70 @@ func (ng *Grounding) baseChaseDelta(p *Grounding, zeroPairs []packedPair) {
 	ng.snapshotBase(e)
 }
 
+// seedEmpty seeds empty relations: the axiom state ϕ7 + ϕ9 goes in as
+// closure-safe bulk writes, then the column counts of the seeded state
+// are derived and the order triggers and correlation rules that state
+// already satisfies are fired — the work the worklist would have done
+// had each seed gone through applyPair.
+func (ng *Grounding) seedEmpty(e *engine) {
+	if ng.useAxioms {
+		for a := 0; a < ng.nattr; a++ {
+			rel := e.orders.Attr(a)
+			var nulls, nonNulls []int32
+			for i := 0; i < ng.n; i++ {
+				if ng.valID[a][i] == model.NullID {
+					nulls = append(nulls, int32(i))
+				} else {
+					nonNulls = append(nonNulls, int32(i))
+				}
+			}
+			for _, grp := range ng.sortedGroups(a) {
+				rel.SetClique32(grp)
+			}
+			rel.SetClique32(nulls)
+			rel.SetBelow32(nulls, nonNulls)
+		}
+	}
+	// Derive column counts of the seeded state, reusing one buffer
+	// across the attributes.
+	cbuf := make([]int, ng.n)
+	for a := 0; a < ng.nattr; a++ {
+		for j, c := range e.orders.Attr(a).ColumnCountsInto(cbuf) {
+			e.counts[a][j] = int32(c)
+		}
+	}
+	// Fire order triggers already satisfied by the seeded state, in
+	// deterministic key order. A zero-tuple parent registered none, so
+	// this version's own map holds them all.
+	keys := make([]uint64, 0, len(ng.orderTrig))
+	for k := range ng.orderTrig {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, k := range keys {
+		attr, i, j := trigKeyDecode(k)
+		if e.orders.Attr(int(attr)).Has(int(i), int(j)) {
+			e.fireOrderKey(k)
+		}
+	}
+	// Fire correlation rules on the seeded pairs, one row word at a
+	// time.
+	for a := 0; a < ng.nattr; a++ {
+		if len(ng.corrs[a]) == 0 {
+			continue
+		}
+		aa := int32(a)
+		e.orders.Attr(a).VisitWords(func(i, wi int, diff uint64) {
+			e.fireCorrWord(aa, int32(i), wi, diff)
+		})
+	}
+}
+
 // seedDeltaAxioms enforces ϕ7/ϕ9 for the new tuples through the regular
-// worklist: unlike the fresh base chase, which seeds an empty relation
-// with closure-safe bulk writes, the delta runs against a populated
-// relation, so every seed goes through applyPair and gets closure
-// propagation, trigger firing and correlation cascades for free.
-// Already-derived pairs are no-ops.
+// worklist: unlike seedEmpty's closure-safe bulk writes, it runs against
+// a populated relation, so every seed goes through applyPair and gets
+// closure propagation, trigger firing and correlation cascades for
+// free. Already-derived pairs are no-ops.
 func (ng *Grounding) seedDeltaAxioms(e *engine, oldN int) {
 	for a := 0; a < ng.nattr; a++ {
 		aa := int32(a)

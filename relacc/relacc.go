@@ -350,9 +350,9 @@ type (
 	// StreamOptions tunes StreamCSV: the grouping attribute, the
 	// bounded window, and the bad-row policy.
 	StreamOptions = ingest.Options
-	// Window bounds the streaming grouper's working set of open
-	// entities (max open entities and/or approximate bytes); the zero
-	// value is unbounded. Sorted input streams at Window{MaxEntities:1}.
+	// Window bounds the streaming grouper's working set by the number
+	// of open entities; the zero value is unbounded. Sorted input
+	// streams at Window{MaxEntities:1}.
 	Window = er.Window
 	// WindowError reports input too disordered for the window: a
 	// grouping key reappeared after its entity was already emitted.
