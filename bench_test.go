@@ -247,6 +247,43 @@ func BenchmarkColdCheck(b *testing.B) {
 	}
 }
 
+// BenchmarkDictIntern measures the value dictionary per value: "new"
+// interns b.N distinct strings into an empty dictionary, so ns/op and
+// B/op include the ID→value slice's growth and every promotion of the
+// ID tables; "hit" re-interns values already in the lock-free snapshot,
+// the path a batch takes for every repeated value.
+func BenchmarkDictIntern(b *testing.B) {
+	strs := func(n int) []model.Value {
+		vs := make([]model.Value, n)
+		for i := range vs {
+			vs[i] = model.S(fmt.Sprintf("value-%d", i))
+		}
+		return vs
+	}
+	b.Run("new", func(b *testing.B) {
+		vs := strs(b.N)
+		d := model.NewDict()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, v := range vs {
+			d.Intern(v)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		const n = 1 << 16
+		vs := strs(n)
+		d := model.NewDict()
+		for _, v := range vs {
+			d.Intern(v)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Intern(vs[i&(n-1)])
+		}
+	})
+}
+
 // BenchmarkOrderAdd measures the closure-restoring pair insertion on
 // one order matrix: each iteration resets a tracked relation to empty
 // and derives the full ascending chain 0 ⪯ 1 ⪯ ... ⪯ n-1 one Add at a

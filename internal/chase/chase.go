@@ -175,12 +175,9 @@ type resid struct {
 
 // groundStep is one partially evaluated rule application φ ∈ Γ.
 type groundStep struct {
-	ruleName string
-	isTarget bool
-	attr     int32
-	i, j     int32       // order consequence: ti ⪯attr tj
-	val      model.Value // target consequence: te[attr] = val
-	preds    []resid
+	attr  int32
+	i, j  int32 // order consequence: ti ⪯attr tj
+	preds []resid
 }
 
 // predRef locates one premise inside one ground step.
@@ -284,11 +281,51 @@ func form2IndexFor(schema *model.Schema, im *model.MasterRelation, rules *rule.S
 // derived on fromAttr (strict: and the values differ), and the extra
 // value predicates hold on the pair, the same pair is derived on toAttr.
 type corrRule struct {
-	ruleName string
 	fromAttr int32
 	toAttr   int32
 	strict   bool
-	extra    []rule.Pred // tuple/const comparison predicates only
+	extra    []pred // tuple/const comparison predicates only
+}
+
+// form1Rule is a plain form-(1) rule with its body compiled: the rules
+// Instantiation grounds pair by pair.
+type form1Rule struct {
+	rhs int32 // schema position of the consequence attribute
+	lhs []pred
+}
+
+// pred is one form-(1) body conjunct with its attribute names resolved
+// to entity-schema positions once, at NewShared, so evaluating it on a
+// tuple pair does no schema lookup. Constants stay in the embedded
+// rule.Pred; an order predicate's attribute is in left.
+type pred struct {
+	rule.Pred
+	left, right int32 // positions of the TupleAttr/TargetAttr operands
+}
+
+// compilePred resolves p's attribute references against schema.
+func compilePred(schema *model.Schema, p rule.Pred) pred {
+	cp := pred{Pred: p}
+	if p.Kind == rule.OrderPred {
+		cp.left = int32(schema.Index(p.Attr))
+		return cp
+	}
+	if p.Left.Kind != rule.Const {
+		cp.left = int32(schema.Index(p.Left.Attr))
+	}
+	if p.Right.Kind != rule.Const {
+		cp.right = int32(schema.Index(p.Right.Attr))
+	}
+	return cp
+}
+
+// compileForm1 compiles a form-(1) rule that is not correlation-shaped.
+func compileForm1(schema *model.Schema, f *rule.Form1) form1Rule {
+	fr := form1Rule{rhs: int32(schema.Index(f.RHS)), lhs: make([]pred, len(f.LHS))}
+	for k, p := range f.LHS {
+		fr.lhs[k] = compilePred(schema, p)
+	}
+	return fr
 }
 
 // Grounding is the reusable, immutable product of Instantiation plus the
@@ -331,7 +368,7 @@ type Grounding struct {
 	// form1 lists the form-(1) rules Instantiation grounds, and
 	// corrs[attr] the correlation-shaped ones compiled to triggers on
 	// attr's derived pairs.
-	form1 []*rule.Form1
+	form1 []form1Rule
 	corrs [][]corrRule
 
 	// Form-(2) rules are grounded lazily: each (rule, master row) pair
@@ -619,7 +656,7 @@ func (ps *pairSet) insert(attr, i, j int32) bool {
 // tuple/constant comparisons.
 func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
 	var orderPreds []rule.Pred
-	var extra []rule.Pred
+	var extra []pred
 	for _, p := range f.LHS {
 		switch p.Kind {
 		case rule.OrderPred:
@@ -628,7 +665,7 @@ func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
 			if p.Left.Kind == rule.TargetAttr || p.Right.Kind == rule.TargetAttr {
 				return corrRule{}, false
 			}
-			extra = append(extra, p)
+			extra = append(extra, compilePred(schema, p))
 		}
 	}
 	if len(orderPreds) != 1 {
@@ -636,7 +673,6 @@ func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
 	}
 	op := orderPreds[0]
 	return corrRule{
-		ruleName: f.RuleName,
 		fromAttr: int32(schema.Index(op.Attr)),
 		toAttr:   int32(schema.Index(f.RHS)),
 		strict:   op.Strict,
@@ -648,36 +684,37 @@ func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
 // ordered tuple pair (i, j) standing for (t1, t2). Equality tests
 // between instance values compare dictionary IDs; everything else
 // (ordering operators, constants) falls back to value comparison.
-func (g *Grounding) evalCmpOnPair(p rule.Pred, i, j int32) bool {
+func (g *Grounding) evalCmpOnPair(p *pred, i, j int32) bool {
 	if (p.Op == rule.Eq || p.Op == rule.Ne) &&
 		p.Left.Kind == rule.TupleAttr && p.Right.Kind == rule.TupleAttr {
-		lid := g.operandID(p.Left, i, j)
-		rid := g.operandID(p.Right, i, j)
+		lid := g.operandID(&p.Left, p.left, i, j)
+		rid := g.operandID(&p.Right, p.right, i, j)
 		if p.Op == rule.Eq {
 			return lid == rid
 		}
 		return lid != rid
 	}
-	get := func(o rule.Operand) model.Value {
-		switch o.Kind {
-		case rule.Const:
-			return o.Val
-		case rule.TupleAttr:
-			a := int32(g.schema.Index(o.Attr))
-			if o.Tup == 1 {
-				return g.vals[a][i]
-			}
-			return g.vals[a][j]
-		}
-		return model.NullValue()
-	}
-	return p.Op.Eval(get(p.Left), get(p.Right))
+	return p.Op.Eval(g.operandVal(&p.Left, p.left, i, j), g.operandVal(&p.Right, p.right, i, j))
 }
 
-// operandID resolves a TupleAttr operand to its interned value ID on
-// the pair (i, j).
-func (g *Grounding) operandID(o rule.Operand, i, j int32) uint32 {
-	a := int32(g.schema.Index(o.Attr))
+// operandVal resolves a TupleAttr or Const operand, whose attribute
+// position is a, to its value on the pair (i, j).
+func (g *Grounding) operandVal(o *rule.Operand, a, i, j int32) model.Value {
+	switch o.Kind {
+	case rule.Const:
+		return o.Val
+	case rule.TupleAttr:
+		if o.Tup == 1 {
+			return g.vals[a][i]
+		}
+		return g.vals[a][j]
+	}
+	return model.NullValue()
+}
+
+// operandID resolves a TupleAttr operand, whose attribute position is
+// a, to its interned value ID on the pair (i, j).
+func (g *Grounding) operandID(o *rule.Operand, a, i, j int32) uint32 {
 	if o.Tup == 1 {
 		return g.valID[a][i]
 	}
@@ -690,8 +727,8 @@ func (g *Grounding) operandID(o rule.Operand, i, j int32) uint32 {
 // root and visits all pairs, while an Extend visits the new-tuple ×
 // existing-tuple and new-tuple × new-tuple pairs — O(‖Σ‖·d·n) for d
 // added tuples instead of the full O(‖Σ‖·n²) rebuild.
-func (g *Grounding) groundForm1(f *rule.Form1, zero []packedPair, seen *pairSet, oldN int32) []packedPair {
-	rhs := int32(g.schema.Index(f.RHS))
+func (g *Grounding) groundForm1(f *form1Rule, zero []packedPair, seen *pairSet, oldN int32) []packedPair {
+	rhs := f.rhs
 	n := int32(g.n)
 	for i := int32(0); i < n; i++ {
 		jFrom := int32(0)
@@ -701,14 +738,14 @@ func (g *Grounding) groundForm1(f *rule.Form1, zero []packedPair, seen *pairSet,
 	pairs:
 		for j := jFrom; j < n; j++ {
 			var preds []resid
-			for _, p := range f.LHS {
+			for k := range f.lhs {
+				p := &f.lhs[k]
 				switch p.Kind {
 				case rule.OrderPred:
-					a := int32(g.schema.Index(p.Attr))
-					if p.Strict && g.valEq(a, i, j) {
+					if p.Strict && g.valEq(p.left, i, j) {
 						continue pairs // ≺ can never hold between equal values
 					}
-					preds = append(preds, resid{kind: residOrder, attr: a, i: i, j: j})
+					preds = append(preds, resid{kind: residOrder, attr: p.left, i: i, j: j})
 				case rule.CmpPred:
 					tp, isTarget, sat := g.foldCmp(p, i, j)
 					if isTarget {
@@ -727,7 +764,7 @@ func (g *Grounding) groundForm1(f *rule.Form1, zero []packedPair, seen *pairSet,
 				}
 				continue
 			}
-			g.addStep(groundStep{ruleName: f.RuleName, attr: rhs, i: i, j: j, preds: preds})
+			g.addStep(groundStep{attr: rhs, i: i, j: j, preds: preds})
 		}
 	}
 	return zero
@@ -737,35 +774,24 @@ func (g *Grounding) groundForm1(f *rule.Form1, zero []packedPair, seen *pairSet,
 // If it references the target template it returns a target premise
 // (isTarget true, with the comparison operand pre-interned); otherwise
 // it returns the truth value (sat).
-func (g *Grounding) foldCmp(p rule.Pred, i, j int32) (tp resid, isTarget, sat bool) {
-	eval := func(o rule.Operand) model.Value {
-		switch o.Kind {
-		case rule.Const:
-			return o.Val
-		case rule.TupleAttr:
-			a := int32(g.schema.Index(o.Attr))
-			if o.Tup == 1 {
-				return g.vals[a][i]
-			}
-			return g.vals[a][j]
-		}
-		return model.NullValue()
-	}
-	// evalID interns only on the target branches: the sat fold below
-	// runs once per (rule, pair) and must not pay a dictionary probe.
-	evalID := func(o rule.Operand) uint32 {
+func (g *Grounding) foldCmp(p *pred, i, j int32) (tp resid, isTarget, sat bool) {
+	// operand resolves the non-target side of a target comparison. It
+	// interns only here: the sat fold below runs once per (rule, pair)
+	// and must not pay a dictionary probe.
+	operand := func(o *rule.Operand, a int32) (model.Value, uint32) {
+		v := g.operandVal(o, a, i, j)
 		if o.Kind == rule.TupleAttr {
-			return g.operandID(o, i, j)
+			return v, g.operandID(o, a, i, j)
 		}
-		return g.dict.Intern(o.Val)
+		return v, g.dict.Intern(v)
 	}
 	switch {
 	case p.Left.Kind == rule.TargetAttr:
-		a := int32(g.schema.Index(p.Left.Attr))
-		return resid{kind: residTarget, attr: a, op: p.Op, val: eval(p.Right), valID: evalID(p.Right)}, true, false
+		v, id := operand(&p.Right, p.right)
+		return resid{kind: residTarget, attr: p.left, op: p.Op, val: v, valID: id}, true, false
 	case p.Right.Kind == rule.TargetAttr:
-		a := int32(g.schema.Index(p.Right.Attr))
-		return resid{kind: residTarget, attr: a, op: p.Op.Flip(), val: eval(p.Left), valID: evalID(p.Left)}, true, false
+		v, id := operand(&p.Left, p.left)
+		return resid{kind: residTarget, attr: p.right, op: p.Op.Flip(), val: v, valID: id}, true, false
 	default:
 		// Route through evalCmpOnPair so the ground-time fold and the
 		// run-time correlation path agree on every predicate — including
@@ -938,6 +964,7 @@ func (g *Grounding) Run(template *model.Tuple) *Result {
 // runWith drives the template-dependent chase on an engine primed with
 // the base snapshot (fresh or pooled-and-reset).
 func (g *Grounding) runWith(e *engine, template *model.Tuple) {
+	e.tmpl = template
 	if template != nil {
 		for a := 0; a < g.nattr; a++ {
 			if v := template.At(a); !v.IsNull() {
@@ -959,7 +986,7 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 						vid = model.NoID
 					}
 				}
-				e.pushTarget(int32(a), v, vid)
+				e.pushTargetTemplate(int32(a), vid)
 			}
 		}
 	}
@@ -971,14 +998,13 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 		for j := 0; j < g.n; j++ {
 			if e.counts[a][j] == int32(g.n-1) && (g.n > 1 || g.baseOrders.Attr(a).Has(j, j)) {
 				if vid := g.valID[a][j]; vid != model.NullID {
-					e.pushTarget(int32(a), g.vals[a][j], vid)
+					e.pushTargetTuple(int32(a), int32(j))
 				}
 			}
 		}
 	}
 	for _, entry := range g.form2.zero {
-		attr, val, vid := g.form2.consequence(g.im, entry)
-		e.pushTarget(attr, val, vid)
+		e.pushTargetForm2(entry)
 	}
 	for s := range g.steps {
 		if e.npred[s] == 0 && !e.pushed[s] {
@@ -986,6 +1012,9 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 		}
 	}
 	e.drain()
+	// A pooled engine outlives the run; it must not pin the caller's
+	// template.
+	e.tmpl = nil
 }
 
 // Deduce is the convenience entry point matching the paper's IsCR: it

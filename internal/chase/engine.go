@@ -13,19 +13,24 @@ import (
 type eventKind uint8
 
 const (
-	evPairMask eventKind = iota // derive ti ⪯attr (wi<<6)+b for every set bit b of mask
-	evTarget                    // instantiate te[attr] = val
-	evStep                      // enforce ground step idx
+	evPairMask       eventKind = iota // derive ti ⪯attr (wi<<6)+b for every set bit b of mask
+	evStep                            // enforce ground step i
+	evTargetTuple                     // instantiate te[attr] = tuple i's attr value
+	evTargetForm2                     // instantiate te[attr] = the consequence of form-(2) entry (rule i, master row wi)
+	evTargetTemplate                  // instantiate te[attr] = the run template's attr value, whose ID is mask
 )
 
+// event is one worklist entry: 24 bytes, value-free. A target event
+// names where its value comes from — a tuple of Ie, a form-(2) entry or
+// the run's template — instead of carrying a model.Value, so the queue
+// is a few machine words per entry however long a cascade runs. The
+// value is resolved when the event is applied; every source is
+// immutable for the run, so it reads the value the producer saw.
 type event struct {
 	kind  eventKind
 	attr  int32
-	i, wi int32 // for evPairMask: the row and the word index of mask
-	idx   int32
-	val   model.Value
-	vid   uint32 // dictionary ID of val, for evTarget events
-	mask  uint64 // for evPairMask: each set bit b derives i ⪯ (wi<<6)+b
+	i, wi int32  // evPairMask: row and word; evStep: step; targets: source
+	mask  uint64 // evPairMask: pair bits; evTargetTemplate: value ID
 }
 
 // engine is the mutable chase state shared by the base chase and by
@@ -39,6 +44,9 @@ type engine struct {
 	orders *order.Set
 	counts [][]int32 // per attr: for each j, #{i≠j : i ⪯ j}
 	te     *model.Tuple
+	// tmpl is the template of the run in progress (nil between runs):
+	// evTargetTemplate events read their values from it.
+	tmpl *model.Tuple
 	// teID mirrors te as dictionary IDs (0 = still null); every target
 	// equality test during a run is an integer comparison against it.
 	teID   []uint32
@@ -132,13 +140,44 @@ func (e *engine) pushPair(attr, i, j int32) {
 // pushPairMask enqueues a whole word of pairs at once: i ⪯attr (wi<<6)+b
 // for every set bit b of mask. One queue entry stands for up to 64
 // pairs — the event-queue churn the correlation cascade would otherwise
-// pay per pair on large entities.
+// pay per pair on large entities. Pairs the relation already holds are
+// masked off first: applyPair drops a held pair as a no-op, and the
+// relation only grows, so a pair held now is still held when the event
+// would be applied. The queue then holds only new work, in the same
+// order.
 func (e *engine) pushPairMask(attr, i, wi int32, mask uint64) {
+	mask &^= e.orders.Attr(int(attr)).Word(int(i), int(wi))
+	if mask == 0 {
+		return
+	}
+	if n := len(e.queue) - 1; n >= e.head {
+		// Extend a pending event for the same word whose bits all come
+		// before mask's: applying the merged mask replays the two
+		// events' pairs in the same order.
+		if last := &e.queue[n]; last.kind == evPairMask && last.attr == attr && last.i == i &&
+			last.wi == wi && mask&-mask > last.mask {
+			last.mask |= mask
+			return
+		}
+	}
 	e.queue = append(e.queue, event{kind: evPairMask, attr: attr, i: i, wi: wi, mask: mask})
 }
 
-func (e *engine) pushTarget(attr int32, v model.Value, vid uint32) {
-	e.queue = append(e.queue, event{kind: evTarget, attr: attr, val: v, vid: vid})
+// pushTargetTuple enqueues te[attr] = tuple y's (non-null) attr value.
+func (e *engine) pushTargetTuple(attr, y int32) {
+	e.queue = append(e.queue, event{kind: evTargetTuple, attr: attr, i: y})
+}
+
+// pushTargetForm2 enqueues the consequence of a fully matched form-(2)
+// entry.
+func (e *engine) pushTargetForm2(entry form2Entry) {
+	e.queue = append(e.queue, event{kind: evTargetForm2, i: entry.ruleIdx, wi: entry.rowIdx})
+}
+
+// pushTargetTemplate enqueues te[attr] = the run template's attr value,
+// whose dictionary ID (possibly NoID) is vid.
+func (e *engine) pushTargetTemplate(attr int32, vid uint32) {
+	e.queue = append(e.queue, event{kind: evTargetTemplate, attr: attr, mask: uint64(vid)})
 }
 
 func (e *engine) pushStep(s int32) {
@@ -146,7 +185,7 @@ func (e *engine) pushStep(s int32) {
 		return
 	}
 	e.pushed[s] = true
-	e.queue = append(e.queue, event{kind: evStep, idx: s})
+	e.queue = append(e.queue, event{kind: evStep, i: s})
 }
 
 // drain processes the worklist to exhaustion or to the first conflict.
@@ -157,10 +196,14 @@ func (e *engine) drain() {
 		switch ev.kind {
 		case evPairMask:
 			e.applyPairMask(ev.attr, ev.i, ev.wi, ev.mask)
-		case evTarget:
-			e.applyTarget(ev.attr, ev.val, ev.vid)
 		case evStep:
-			e.applyStep(ev.idx)
+			e.applyStep(ev.i)
+		case evTargetTuple:
+			e.applyTarget(ev.attr, e.g.vals[ev.attr][ev.i], e.g.valID[ev.attr][ev.i])
+		case evTargetForm2:
+			e.applyTarget(e.g.form2.consequence(e.g.im, form2Entry{ruleIdx: ev.i, rowIdx: ev.wi}))
+		case evTargetTemplate:
+			e.applyTarget(ev.attr, e.tmpl.At(int(ev.attr)), uint32(ev.mask))
 		}
 	}
 	if e.pooled {
@@ -178,20 +221,7 @@ func (e *engine) applyStep(s int32) {
 		return
 	}
 	st := &e.g.steps[s]
-	if st.isTarget {
-		if e.base {
-			// Target steps are template-dependent; the base chase never
-			// schedules them, but guard against misuse.
-			return
-		}
-		// No construction site sets isTarget today; if one ever does,
-		// resolve the consequence's ID here rather than carrying a
-		// field every (order) step would leave zeroed — a zero would
-		// alias NullID and desync te from teID.
-		e.applyTarget(st.attr, st.val, e.g.dict.Intern(st.val))
-	} else {
-		e.applyPair(st.attr, st.i, st.j)
-	}
+	e.applyPair(st.attr, st.i, st.j)
 	e.stepsApplied++
 }
 
@@ -257,7 +287,7 @@ func (e *engine) derivedWord(attr int32, rel *order.Relation, x int32, wi int, d
 				if vid := ids[y]; vid != model.NullID {
 					switch cur := e.teID[attr]; {
 					case cur == model.NullID:
-						e.pushTarget(attr, e.g.vals[attr][y], vid)
+						e.pushTargetTuple(attr, y)
 					case cur != vid:
 						e.conflict = fmt.Sprintf(
 							"λ conflict on %s: maximum value %s contradicts te value %s",
@@ -322,8 +352,8 @@ func (e *engine) fireCorrWord(attr, x int32, wi int, diff uint64) {
 					m &^= d & -d
 					continue
 				}
-				for _, p := range cr.extra {
-					if !e.g.evalCmpOnPair(p, x, y) {
+				for k := range cr.extra {
+					if !e.g.evalCmpOnPair(&cr.extra[k], x, y) {
 						m &^= d & -d
 						break
 					}
@@ -423,8 +453,7 @@ func (e *engine) fireForm2(attr int32, vid uint32) {
 		nextAttr, want, pending := e.g.form2.nextCond(entry, e.teID)
 		switch {
 		case !pending:
-			tgt, val, cid := e.g.form2.consequence(e.g.im, entry)
-			e.pushTarget(tgt, val, cid)
+			e.pushTargetForm2(entry)
 		case nextAttr < 0:
 			// dead: a condition mismatched
 		default:

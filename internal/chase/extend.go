@@ -196,8 +196,8 @@ func (g *Grounding) groundDelta(oldN int32) []packedPair {
 	} else {
 		seen = newSparsePairSet()
 	}
-	for _, f := range g.form1 {
-		zero = g.groundForm1(f, zero, seen, oldN)
+	for k := range g.form1 {
+		zero = g.groundForm1(&g.form1[k], zero, seen, oldN)
 	}
 	return zero
 }
@@ -258,7 +258,7 @@ func (ng *Grounding) baseChase(p *Grounding, zeroPairs []packedPair) {
 		e.pushPair(pr.attr, pr.i, pr.j)
 	}
 	for s := len(p.steps); s < len(ng.steps); s++ {
-		if e.npred[s] == 0 && !ng.steps[s].isTarget {
+		if e.npred[s] == 0 {
 			e.pushStep(int32(s))
 		}
 	}

@@ -57,7 +57,7 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 	}
 	na := schema.Arity()
 	corrs := make([][]corrRule, na)
-	var form1 []*rule.Form1
+	var form1 []form1Rule
 	for _, r := range rules.Rules() {
 		f, ok := r.(*rule.Form1)
 		if !ok {
@@ -66,7 +66,7 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 		if cr, ok := compileCorr(schema, f); ok {
 			corrs[cr.fromAttr] = append(corrs[cr.fromAttr], cr)
 		} else {
-			form1 = append(form1, f)
+			form1 = append(form1, compileForm1(schema, f))
 		}
 	}
 	root := &Grounding{

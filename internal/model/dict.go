@@ -1,6 +1,8 @@
 package model
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -28,34 +30,106 @@ const NoID = ^uint32(0)
 // target comparison, so those corners were path-dependent; IDs make
 // them uniformly canonical.
 //
+// The values live once, in the ID → value slice. Finding a value's ID
+// goes through ID tables over that slice: open-addressing arrays of
+// uint32 IDs, placed by a seeded hash of the Norm value and confirmed
+// by comparing against the stored value's Norm. The hash only places
+// an ID; it never chooses one — IDs are handed out in first-intern
+// order. Null is ID 0 and never enters a table, so 0 marks a free slot.
+//
 // A Dict is safe for concurrent use and its reads never block: lookups
-// consult an immutable snapshot map through an atomic pointer, so any
+// probe an immutable snapshot table through an atomic pointer, so any
 // number of goroutines may resolve IDs while others intern new values.
 // Interning serialises writers on an internal mutex but never touches
-// the snapshot readers see; newly interned values live in a small
-// overlay that is folded into a fresh snapshot once it has grown to the
-// snapshot's size (the sync.Map promotion scheme, with typed maps).
+// the snapshot readers see; newly interned IDs go into a small overlay
+// table that is folded into a fresh snapshot once it holds as many IDs
+// as the snapshot covers (the sync.Map promotion scheme). A promotion
+// allocates one 4-byte slot per table entry, at most four per value.
 //
 // IDs are append-only and version-stable: an ID, once assigned, is
 // never reassigned or removed, so IDs cached by one grounding version
 // stay valid for every later version of the same schema's groundwork
 // (chase.Grounding.Extend relies on this — see DESIGN.md invariants).
 type Dict struct {
-	read atomic.Pointer[map[Value]uint32] // immutable snapshot; never written
-	vals atomic.Pointer[[]Value]          // ID → canonical value; append-only
+	seed maphash.Seed
+	read atomic.Pointer[idTable] // snapshot; immutable once published
+	vals atomic.Pointer[[]Value] // ID → stored value; append-only
 
-	mu    sync.Mutex       // guards dirty and all appends
-	dirty map[Value]uint32 // entries newer than the snapshot
+	mu    sync.Mutex // guards dirty and all appends
+	dirty idTable    // IDs newer than the snapshot
+}
+
+// idTable is an open-addressing hash table of dictionary IDs with
+// linear probing: a power-of-two slot array, at most half full, where
+// 0 (NullID, never stored) marks a free slot.
+type idTable struct {
+	slots []uint32
+	n     int
+}
+
+// find returns the ID stored in t whose value has Norm nv; h is nv's
+// hash and vals the ID → value slice covering t's IDs.
+func (t *idTable) find(vals []Value, h uint64, nv Value) (uint32, bool) {
+	if len(t.slots) == 0 {
+		return NullID, false
+	}
+	mask := uint64(len(t.slots) - 1)
+	for k := h & mask; ; k = (k + 1) & mask {
+		id := t.slots[k]
+		if id == NullID {
+			return NullID, false
+		}
+		if vals[id].Norm() == nv {
+			return id, true
+		}
+	}
+}
+
+// insert stores id, whose value hashes to h, in a free slot. The
+// caller keeps the table at most half full.
+func (t *idTable) insert(h uint64, id uint32) {
+	mask := uint64(len(t.slots) - 1)
+	k := h & mask
+	for t.slots[k] != NullID {
+		k = (k + 1) & mask
+	}
+	t.slots[k] = id
+	t.n++
+}
+
+// tableSlots is the slot count for a table of n IDs: the smallest power
+// of two at least 2n, and at least 8.
+func tableSlots(n int) int {
+	s := 8
+	for s < 2*n {
+		s <<= 1
+	}
+	return s
 }
 
 // NewDict creates a dictionary holding only the null value (as NullID).
 func NewDict() *Dict {
-	d := &Dict{dirty: make(map[Value]uint32)}
-	read := map[Value]uint32{{}: NullID}
+	d := &Dict{seed: maphash.MakeSeed()}
 	vals := []Value{{}}
-	d.read.Store(&read)
 	d.vals.Store(&vals)
+	d.read.Store(&idTable{})
 	return d
+}
+
+// hash hashes a Norm value for the ID tables. Non-string values hash
+// their kind, float bits and bool; the NaN sentinel shares false's
+// hash, which costs at most a probe.
+func (d *Dict) hash(nv Value) uint64 {
+	if nv.kind == String {
+		return maphash.String(d.seed, nv.s)
+	}
+	var b [10]byte
+	b[0] = byte(nv.kind)
+	binary.LittleEndian.PutUint64(b[1:], math.Float64bits(nv.f))
+	if nv.b {
+		b[9] = 1
+	}
+	return maphash.Bytes(d.seed, b[:])
 }
 
 // Size returns the number of interned values, including null.
@@ -66,37 +140,33 @@ func (d *Dict) Size() int { return len(*d.vals.Load()) }
 // snapshot, and never interns.
 func (d *Dict) Lookup(v Value) (uint32, bool) {
 	nv := v.Norm()
-	if id, ok := (*d.read.Load())[nv]; ok {
+	if nv.kind == Null {
+		return NullID, true
+	}
+	h := d.hash(nv)
+	if id, ok := d.findSnapshot(h, nv); ok {
 		return id, true
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Re-check the snapshot under the lock: a concurrent promote() may
-	// have moved nv from the overlay into a fresh snapshot between the
-	// read above and the lock acquisition.
-	if id, ok := (*d.read.Load())[nv]; ok {
-		return id, true
-	}
-	id, ok := d.dirty[nv]
-	return id, ok
+	return d.findLocked(h, nv)
 }
 
 // Intern returns the ID of v, assigning the next free ID when no Equal
 // value has been interned yet. The hot path — a value already in the
-// snapshot — is a single lock-free map read.
+// snapshot — is a lock-free probe of the snapshot table.
 func (d *Dict) Intern(v Value) uint32 {
 	nv := v.Norm()
-	if id, ok := (*d.read.Load())[nv]; ok {
+	if nv.kind == Null {
+		return NullID
+	}
+	h := d.hash(nv)
+	if id, ok := d.findSnapshot(h, nv); ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Re-check under the lock: the snapshot may have been promoted, or a
-	// racing Intern may have added nv to the overlay.
-	if id, ok := (*d.read.Load())[nv]; ok {
-		return id
-	}
-	if id, ok := d.dirty[nv]; ok {
+	if id, ok := d.findLocked(h, nv); ok {
 		return id
 	}
 	vals := *d.vals.Load()
@@ -108,33 +178,65 @@ func (d *Dict) Intern(v Value) uint32 {
 	// Readers holding the old header never index the new element;
 	// readers loading the new header see it fully written. NaN is kept
 	// as a real float so ValueOf renders faithfully (its Norm is an
-	// opaque sentinel usable only as a map key).
+	// opaque sentinel, which find compares against).
 	stored := nv
 	if v.Kind() == Float && math.IsNaN(v.Float()) {
 		stored = v
 	}
 	vals = append(vals, stored)
 	d.vals.Store(&vals)
-	d.dirty[nv] = id
-	if len(d.dirty) >= len(*d.read.Load()) {
-		d.promote()
+	if 2*(d.dirty.n+1) > len(d.dirty.slots) {
+		d.dirty = d.rebuild(vals, d.dirty.n+1, d.dirty.slots)
+	}
+	d.dirty.insert(h, id)
+	if d.dirty.n >= d.read.Load().n {
+		d.promote(vals)
 	}
 	return id
 }
 
-// promote folds the overlay into a fresh immutable snapshot. Called
-// with mu held; amortised O(1) per Intern by geometric growth.
-func (d *Dict) promote() {
-	old := *d.read.Load()
-	merged := make(map[Value]uint32, len(old)+len(d.dirty))
-	for v, id := range old {
-		merged[v] = id
+// findSnapshot looks nv (hash h) up in the snapshot, without a lock.
+// The snapshot is loaded before the ID → value slice: an ID is appended
+// to the slice before any table holds it, so the slice covers every ID
+// of the snapshot.
+func (d *Dict) findSnapshot(h uint64, nv Value) (uint32, bool) {
+	t := d.read.Load()
+	return t.find(*d.vals.Load(), h, nv)
+}
+
+// findLocked looks nv (hash h) up in the snapshot and then in the
+// overlay. Called with mu held: the snapshot is re-read because a
+// concurrent promote may have moved nv there since an unlocked probe.
+func (d *Dict) findLocked(h uint64, nv Value) (uint32, bool) {
+	if id, ok := d.findSnapshot(h, nv); ok {
+		return id, true
 	}
-	for v, id := range d.dirty {
-		merged[v] = id
+	return d.dirty.find(*d.vals.Load(), h, nv)
+}
+
+// rebuild returns a table sized for n IDs holding the IDs of the
+// non-null slots in from, each re-placed by its value's hash.
+func (d *Dict) rebuild(vals []Value, n int, from []uint32) idTable {
+	t := idTable{slots: make([]uint32, tableSlots(n))}
+	for _, id := range from {
+		if id != NullID {
+			t.insert(d.hash(vals[id].Norm()), id)
+		}
 	}
-	d.read.Store(&merged)
-	d.dirty = make(map[Value]uint32)
+	return t
+}
+
+// promote publishes a snapshot indexing every ID of vals and empties
+// the overlay, keeping its slots for reuse. Called with mu held;
+// amortised O(1) per Intern, since the snapshot doubles each time.
+func (d *Dict) promote(vals []Value) {
+	t := idTable{slots: make([]uint32, tableSlots(len(vals)))}
+	for id := 1; id < len(vals); id++ {
+		t.insert(d.hash(vals[id].Norm()), uint32(id))
+	}
+	d.read.Store(&t)
+	clear(d.dirty.slots)
+	d.dirty.n = 0
 }
 
 // ValueOf returns the canonical (Norm) representative interned under

@@ -95,6 +95,9 @@ func (r *Relation) Has(i, j int) bool {
 	return r.rows[i*r.w+(j>>6)]&(1<<(uint(j)&63)) != 0
 }
 
+// Word returns word wi of row i: bit b set means i ⪯ (wi<<6)+b.
+func (r *Relation) Word(i, wi int) uint64 { return r.rows[i*r.w+wi] }
+
 func (r *Relation) set(i, j int) {
 	r.rows[i*r.w+(j>>6)] |= 1 << (uint(j) & 63)
 	r.markRow(i)

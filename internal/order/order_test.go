@@ -315,6 +315,13 @@ func TestBitIndexBeyondWordBoundary(t *testing.T) {
 		if !r.Has(p[0], p[1]) {
 			t.Errorf("Has(%d, %d) = false after Add", p[0], p[1])
 		}
+		// Word must agree with Has on every bit of the pair's word.
+		w := r.Word(p[0], p[1]>>6)
+		for b := 0; b < 64 && p[1]&^63+b < n; b++ {
+			if got := w>>b&1 == 1; got != r.Has(p[0], p[1]&^63+b) {
+				t.Errorf("Word(%d, %d) bit %d = %v, Has disagrees", p[0], p[1]>>6, b, got)
+			}
+		}
 	}
 	// Spot-check neighbouring bits stayed clear (no closure links them).
 	for _, p := range [][2]int{{0, 62}, {0, 66}, {1, 126}, {2, 128}, {128, 0}} {

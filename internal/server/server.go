@@ -294,6 +294,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"buffered_bytes":     s.buffered.Load(),
 		"max_buffered_bytes": s.opts.maxBufferedBytes(),
 		"durable":            s.opts.Store != nil,
+		// Interned values, null included. The dictionary is
+		// append-only, so this only grows: it is the memory a stream
+		// of novel values pins for the daemon's lifetime.
+		"dict_values": s.u.Dict().Size(),
 		// Read-path cache accounting: the settled-target memo (whole
 		// stream) and the per-version verdict caches (summed over live
 		// entities; hits/misses cumulative over each version chain).

@@ -152,6 +152,35 @@ func TestStatsNoAppends(t *testing.T) {
 	}
 }
 
+// TestStatsDictValues: /v1/stats reports the dictionary size, which
+// grows when an append carries a value no earlier tuple had.
+func TestStatsDictValues(t *testing.T) {
+	s, _ := newTestServer(t, pipeline.Config{})
+	h := s.Handler()
+	dictValues := func() float64 {
+		t.Helper()
+		code, out := do(t, h, "GET", "/v1/stats", nil)
+		n, ok := out["dict_values"].(float64)
+		if code != http.StatusOK || !ok {
+			t.Fatalf("stats: %d %v", code, out)
+		}
+		return n
+	}
+	before := dictValues()
+	if before < 1 {
+		t.Fatalf("dict_values = %v, want at least 1 (null)", before)
+	}
+	code, out := do(t, h, "POST", "/v1/entities/d1/evidence", map[string]any{
+		"tuples": []map[string]any{{"id": "d1", "league": "league-never-seen", "rnds": 12345, "jersey": 99}},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("append: %d %v", code, out)
+	}
+	if after := dictValues(); after <= before {
+		t.Fatalf("dict_values %v after appending new values, was %v", after, before)
+	}
+}
+
 // TestTopKQuery: an entity left incomplete serves candidates through
 // /topk with per-request k and algo.
 func TestTopKQuery(t *testing.T) {

@@ -31,6 +31,9 @@
 #   BenchmarkOrderAdd        closure-restoring chain insertion on one
 #                            order matrix                       (PR 8)
 #   BenchmarkOrderMax        word-parallel λ scan on a full clique (PR 8)
+#   BenchmarkDictIntern      value dictionary per value: new values
+#                            (slice growth + ID-table promotions)
+#                            and snapshot hits
 #   BenchmarkStreamIngest    end-to-end CSV ingest, materialized vs
 #                            streaming: rows/s and peak sampled heap
 #                            (peak-bytes — the constant-memory claim) (PR 9)
@@ -53,7 +56,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkCheckPooled$|BenchmarkCheckCached$|BenchmarkColdCheck$|BenchmarkOrderAdd|BenchmarkOrderMax|BenchmarkTopKCTParallel|BenchmarkIncrementalAdd|BenchmarkUpdaterApply|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkTopKWarmQuery|BenchmarkStreamIngest' \
+  -bench 'BenchmarkCheckPooled$|BenchmarkCheckCached$|BenchmarkColdCheck$|BenchmarkOrderAdd|BenchmarkOrderMax|BenchmarkTopKCTParallel|BenchmarkIncrementalAdd|BenchmarkUpdaterApply|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkTopKWarmQuery|BenchmarkDictIntern|BenchmarkStreamIngest' \
   -benchmem -benchtime "$benchtime" -count "$count" . | tee "$raw"
 
 # Parse `go test -bench` lines into JSON records. A -benchmem line looks
